@@ -9,6 +9,7 @@ byte-identical CSV documents.
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass
 
 from . import analytic
@@ -39,18 +40,20 @@ class ExperimentSpec:
     seed: int = 1
 
     def validate(self) -> None:
+        """Reject a bad spec before any point is simulated.  Every grid point
+        must build a :class:`SystemConfig`, which holds the per-point rules
+        (even M, finite T, R and SNR, known scheme, frames > warmup)."""
         if not self.schemes:
             raise ValueError("scheme list must not be empty")
-        for s in self.schemes:
-            if s not in ("TDMA", "CR-NOMA"):
-                raise ValueError(f"unknown scheme {s!r}")
-        if self.gen_model not in ("GAW", "GAR"):
-            raise ValueError(f"unknown gen_model {self.gen_model!r}")
-        for M in self.M_values:
-            if M < 2 or M % 2:
-                raise ValueError(f"M must be even and >= 2, got {M}")
         if self.outputs not in ("both", "analytic", "sim"):
             raise ValueError(f"outputs must be both/analytic/sim, got {self.outputs!r}")
+        for scheme, M, T, R, snr in itertools.product(
+                self.schemes, self.M_values, self.T_values, self.R_values,
+                self.snr_db_values):
+            P = db_to_linear(snr)
+            SystemConfig(M=M, T=T, R=R, P=P, P_S=P, scheme=scheme,
+                         gen_model=self.gen_model, frames=self.frames,
+                         warmup_frames=self.warmup)
         if self.users is not None:
             for M in self.M_values:
                 for u in self.users:

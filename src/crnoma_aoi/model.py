@@ -7,6 +7,7 @@ or numpy arrays and evaluate elementwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,9 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("T", "R", "P", "P_S"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.M < 2 or self.M % 2 != 0:
             raise ValueError(f"M must be an even integer >= 2, got {self.M}")
         if self.T <= 0:
@@ -80,13 +84,8 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def draw_gain(rng: np.random.Generator) -> float:
-    """Draw one squared channel magnitude |h|^2 for h ~ CN(0, 1), i.e. Exp(1)."""
-    return float(rng.exponential())
-
-
 def draw_gains(rng: np.random.Generator, size) -> np.ndarray:
-    """Vectorized :func:`draw_gain`."""
+    """Draw squared channel magnitudes |h|^2 for h ~ CN(0, 1), i.e. Exp(1)."""
     return rng.exponential(size=size)
 
 

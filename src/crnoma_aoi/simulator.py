@@ -1,4 +1,4 @@
-"""Event-accurate frame/slot simulation with exact sawtooth-AoI accounting.
+"""Frame/slot simulation with exact sawtooth-AoI accounting.
 
 Per frame and per user pair, four independent Exp(1) channel gains are drawn
 (each user in each of its pair's two slots, whether or not it transmits, which
@@ -8,9 +8,17 @@ m*T / m'*T (GAR), and the age grows linearly in between.  Time averages are
 the exact integrals of this piecewise-linear process over the post-warm-up
 window; no per-slot sampling is involved.
 
-The per-frame outcome of every protocol here depends on at most the previous
-frame's primary outcome (a one-frame shift), so the whole simulation is
-vectorized over frames with numpy; there is no sequential inner loop.
+:func:`run` integrates frame by frame.  Counted in slots, the age at time t
+is t - o, where the origin o = t_last - reset_age moves only at deliveries.
+A delivery never raises the age, so o never decreases, and the origin after
+each slot is a running maximum over the deliveries so far.  A frame's area is
+then linear in three integer origins (at frame start, after slot m, after
+slot m'), an exact multiple of T^2/2.  The only state crossing frames is the
+origin and CR-NOMA/GAW's one-frame ``pending`` retry, so frames are drawn and
+integrated in fixed chunks and memory does not grow with the horizon.
+
+:func:`simulate_events` returns the same deliveries as explicit per-user
+event arrays; it feeds the event log read by :mod:`crnoma_aoi.oracle`.
 """
 
 from __future__ import annotations
@@ -19,57 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (SystemConfig, primary_success, secondary_capped_success,
-                    secondary_solo_success)
+from .model import (SystemConfig, draw_gains, primary_success,
+                    secondary_capped_success, secondary_solo_success)
 
 N_BATCHES = 20
-
-
-@dataclass
-class AoiTracker:
-    """Incremental exact integrator of one user's sawtooth age process.
-
-    Area before ``accumulation_start`` (the warm-up boundary) is discarded;
-    partial trapezoids straddling the boundary are clipped exactly.
-    """
-
-    last_event_time: float = 0.0
-    age_at_last_event: float = 0.0
-    accumulated_area: float = 0.0
-    accumulation_start: float = 0.0
-
-    def _advance_area(self, t: float) -> None:
-        lo = max(self.last_event_time, self.accumulation_start)
-        dt = t - lo
-        if dt > 0.0:
-            a = self.age_at_last_event + (lo - self.last_event_time)
-            self.accumulated_area += a * dt + 0.5 * dt * dt
-
-    def reset_age(self, t_event: float, new_age: float) -> None:
-        """Record a delivery at t_event that resets the age to new_age."""
-        if t_event < self.last_event_time:
-            raise ValueError(f"time regression: {t_event} < {self.last_event_time}")
-        if new_age <= 0.0:
-            raise ValueError(f"reset age must be > 0, got {new_age}")
-        age_before = self.age_at_last_event + (t_event - self.last_event_time)
-        if new_age > age_before:
-            raise ValueError(f"a delivery cannot increase the age "
-                             f"({new_age} > {age_before})")
-        self._advance_area(t_event)
-        self.last_event_time = t_event
-        self.age_at_last_event = new_age
-
-    def finalize(self, t_end: float) -> float:
-        """Close the final partial trapezoid and return the time-average age."""
-        if t_end < self.last_event_time:
-            raise ValueError(f"time regression: {t_end} < {self.last_event_time}")
-        span = t_end - self.accumulation_start
-        if span <= 0.0:
-            raise ValueError("zero-length accumulation window")
-        self._advance_area(t_end)
-        # leave the tracker reusable: area stays, bookkeeping advances
-        self.last_event_time = max(self.last_event_time, self.accumulation_start)
-        return self.accumulated_area / span
+CHUNK_FRAMES = 1 << 15
+_NO_DELIVERY = np.iinfo(np.int64).min   # candidate origin of a silent slot
 
 
 @dataclass(frozen=True)
@@ -96,19 +59,132 @@ class AoiReport:
     seed: int
 
 
-def time_average_age(times: np.ndarray, ages: np.ndarray,
-                     t0: float, t1: float) -> float:
-    """Exact time average of the sawtooth defined by delivery events
-    (times[j], ages[j]) over the window [t0, t1].  Events must be sorted and
-    the first event must satisfy times[0] <= t0."""
-    if t1 <= t0:
-        raise ValueError("zero-length accumulation window")
-    ends = np.append(times[1:], t1)
-    lo = np.clip(times, t0, t1)
-    hi = np.clip(ends, t0, t1)
-    dt = hi - lo
-    a_lo = ages + (lo - times)
-    return float(np.sum(a_lo * dt + 0.5 * dt * dt)) / (t1 - t0)
+def _pair_outcomes(cfg: SystemConfig, m: int, gains: np.ndarray,
+                   pending: bool = False):
+    """Classify consecutive frames for the pair (U_m, U_m').
+
+    ``gains`` has shape (frames, 4): columns are U_m and U_m' in slot m, then
+    U_m and U_m' in slot m' = m + M/2.  ``pending`` says whether U_m' failed
+    its primary in the frame before ``gains[0]`` (used by CR-NOMA/GAW only).
+    Returns, for U_m then U_m', ``(at_m, at_mp, (reset_m, reset_mp))``: the
+    delivery masks at slot m and at slot m', and the age in slots that a
+    delivery in each slot resets to.  The age at t=0 is the reset age of the
+    user's own slot.
+    """
+    M, eps, P, P_S = cfg.M, cfg.eps, cfg.P, cfg.P_S
+    mp = m + M // 2
+    resets = (1, 1) if cfg.gen_model == "GAW" else (m, mp)
+    g_m_m, g_mp_m, g_m_mp, g_mp_mp = gains.T
+
+    if cfg.scheme == "TDMA":
+        never = np.zeros(len(gains), dtype=bool)
+        masks = ((primary_success(P, g_m_m, eps), never),
+                 (never, primary_success(P, g_mp_mp, eps)))
+    elif cfg.gen_model == "GAW":
+        # U_m: primary in slot m every frame; on failure, secondary in slot m'
+        # of the same frame against U_m' (who is always primary there).
+        s1 = primary_success(P, g_m_m, eps)
+        s4 = secondary_capped_success(P_S, g_m_mp, P, g_mp_mp, eps)
+        # U_m': primary in slot m' every frame; on failure, secondary in
+        # slot m of the NEXT frame with a fresh update.
+        s3 = primary_success(P, g_mp_mp, eps)
+        retry = np.empty(len(gains), dtype=bool)
+        retry[0] = pending
+        retry[1:] = ~s3[:-1]
+        s2 = secondary_capped_success(P_S, g_mp_m, P, g_m_m, eps)
+        masks = ((s1, ~s1 & s4), (retry & s2, s3))
+    else:
+        # CR-NOMA / GAR: both users generate at frame start; undelivered
+        # updates are dropped at frame end, so no state crosses frames.
+        sm1 = primary_success(P, g_m_m, eps)                         # U_m primary, slot m
+        sp1 = secondary_capped_success(P_S, g_mp_m, P, g_m_m, eps)   # U_m' secondary, slot m
+        sp2 = primary_success(P, g_mp_mp, eps)                       # U_m' retry, slot m'
+        # U_m's retry in slot m': capped if U_m' retransmits, solo if it is silent
+        sm2 = np.where(sp1,
+                       secondary_solo_success(P_S, g_m_mp, eps),
+                       secondary_capped_success(P_S, g_m_mp, P, g_mp_mp, eps))
+        masks = ((sm1, ~sm1 & sm2), (sp1, ~sp1 & sp2))
+    return [(at_m, at_mp, resets) for at_m, at_mp in masks]
+
+
+def _pair_rngs(config: SystemConfig):
+    """One generator per pair, split deterministically from config.seed via
+    ``numpy.random.SeedSequence(seed).spawn``, so results do not depend on
+    the order in which pairs are processed."""
+    children = np.random.SeedSequence(config.seed).spawn(config.M // 2)
+    return [(m, np.random.default_rng(child))
+            for m, child in enumerate(children, start=1)]
+
+
+def _batch_edges(config: SystemConfig) -> list[int]:
+    """Frame indices splitting the post-warm-up window into N_BATCHES blocks
+    of whole frames."""
+    w, n = config.warmup_frames, config.frames - config.warmup_frames
+    return [w + k * n // N_BATCHES for k in range(N_BATCHES + 1)]
+
+
+def _chunks(config: SystemConfig):
+    """Yield (first frame, frame count, batch index) over the horizon, in
+    order; the warm-up has batch index -1 and no chunk straddles a batch
+    edge or exceeds CHUNK_FRAMES."""
+    edges = [0] + _batch_edges(config)
+    for batch in range(-1, N_BATCHES):
+        lo, hi = edges[batch + 1], edges[batch + 2]
+        for start in range(lo, hi, CHUNK_FRAMES):
+            yield start, min(CHUNK_FRAMES, hi - start), batch
+
+
+def run(config: SystemConfig) -> AoiReport:
+    """Simulate ``config`` and return the exact time-average AoI per user over
+    the post-warm-up window, with 3-sigma half-widths from batch means over
+    N_BATCHES blocks of whole frames.  Deterministic given (config, seed)."""
+    M, h, T = config.M, config.M // 2, config.T
+    n_used = config.frames - config.warmup_frames
+    if n_used < N_BATCHES:
+        raise ValueError(f"need at least {N_BATCHES} frames after warm-up, "
+                         f"got {n_used}")
+    # twice each user's area per batch, in slot^2; Python ints cannot overflow
+    areas = [[0] * N_BATCHES for _ in range(M)]
+    for m, rng in _pair_rngs(config):
+        # at t=0 each age is the reset age of the user's own slot
+        origins = [-1, -1] if config.gen_model == "GAW" else [-m, -m - h]
+        pending = False
+        for start, n, batch in _chunks(config):
+            outcomes = _pair_outcomes(config, m, draw_gains(rng, (n, 4)), pending)
+            # U_m' retries in the next frame iff its last slot-m' primary failed
+            pending = not outcomes[1][1][-1]
+            base = (start + np.arange(n, dtype=np.int64)) * M
+            sum_base = M * (n * start + n * (n - 1) // 2)
+            for u, (at_m, at_mp, (r_m, r_mp)) in enumerate(outcomes):
+                # origin after slot m, then after slot m', of every frame
+                o_m = np.where(at_m, base + (m - r_m), _NO_DELIVERY)
+                o_m[0] = max(o_m[0], origins[u])
+                o_mp = np.maximum.accumulate(np.maximum(
+                    o_m, np.where(at_mp, base + (m + h - r_mp), _NO_DELIVERY)))
+                np.maximum(o_m[1:], o_mp[:-1], out=o_m[1:])
+                s_m, s_mp = int(o_m.sum()), int(o_mp.sum())
+                last = int(o_mp[-1])
+                s_start = origins[u] + s_mp - last
+                origins[u] = last
+                if batch >= 0:
+                    # per frame, sum over its segments [a, b] of
+                    # (b - a)(a + b - 2 o) = M^2 + 2 (m d0 + h d1 + (h - m) d2)
+                    # with d = frame start - origin of the segment
+                    areas[(m - 1) + u * h][batch] += n * M * M + 2 * (
+                        M * sum_base - m * s_start - h * s_m - (h - m) * s_mp)
+    sizes = np.diff(_batch_edges(config))
+    batch_aoi = np.array(areas, dtype=np.float64) * T / (2 * M * sizes)
+    per_user = [sum(a) * T / (2 * M * n_used) for a in areas]
+    se = np.std(batch_aoi, axis=1, ddof=1) / np.sqrt(N_BATCHES)
+    overall_se = float(np.std(batch_aoi.mean(axis=0), ddof=1)) / np.sqrt(N_BATCHES)
+    return AoiReport(
+        per_user_aoi=per_user,
+        overall_aoi=float(np.mean(per_user)),
+        per_user_halfwidth=(3.0 * se).tolist(),
+        overall_halfwidth=3.0 * overall_se,
+        frames_used=n_used,
+        seed=config.seed,
+    )
 
 
 def _merge_events(parts: list[tuple[np.ndarray, float, int]],
@@ -129,78 +205,20 @@ def _merge_events(parts: list[tuple[np.ndarray, float, int]],
     return UserEvents(user_id=user_id, times=t[order], ages=a[order], slots=s[order])
 
 
-def _pair_events(cfg: SystemConfig, m: int, gains: np.ndarray) -> tuple[UserEvents, UserEvents]:
-    """Delivery events for the pair (U_m, U_m') over the whole horizon.
-
-    ``gains`` has shape (frames, 4): columns are U_m and U_m' in slot m, then
-    U_m and U_m' in slot m' = m + M/2.
-    """
-    M, T, eps, P, P_S = cfg.M, cfg.T, cfg.eps, cfg.P, cfg.P_S
-    mp = m + M // 2
-    frames = cfg.frames
-    idx = np.arange(frames, dtype=np.float64)
-    t_m = (idx * M + m) * T        # end of slot m, frame i
-    t_mp = (idx * M + mp) * T      # end of slot m'
-    g_m_m, g_mp_m, g_m_mp, g_mp_mp = gains.T
-
-    if cfg.scheme == "TDMA":
-        s_m = primary_success(P, g_m_m, eps)
-        s_mp = primary_success(P, g_mp_mp, eps)
-        if cfg.gen_model == "GAW":
-            reset_m, reset_mp = T, T
-        else:
-            reset_m, reset_mp = m * T, mp * T
-        ev_m = _merge_events([(t_m[s_m], reset_m, m)], m, reset_m)
-        ev_mp = _merge_events([(t_mp[s_mp], reset_mp, mp)], mp, reset_mp)
-        return ev_m, ev_mp
-
-    if cfg.gen_model == "GAW":
-        # U_m: primary in slot m every frame; on failure, secondary in slot m'
-        # of the same frame against U_m' (who is always primary there).
-        s1 = primary_success(P, g_m_m, eps)
-        s4 = secondary_capped_success(P_S, g_m_mp, P, g_mp_mp, eps)
-        ev_m = _merge_events([(t_m[s1], T, m), (t_mp[~s1 & s4], T, mp)], m, T)
-        # U_m': primary in slot m' every frame; on failure, secondary in
-        # slot m of the NEXT frame with a fresh update.
-        s3 = primary_success(P, g_mp_mp, eps)
-        pending = np.empty(frames, dtype=bool)
-        pending[0] = False     # initialized as having just delivered
-        pending[1:] = ~s3[:-1]
-        s2 = secondary_capped_success(P_S, g_mp_m, P, g_m_m, eps)
-        ev_mp = _merge_events([(t_m[pending & s2], T, m), (t_mp[s3], T, mp)], mp, T)
-        return ev_m, ev_mp
-
-    # CR-NOMA / GAR: both users generate at frame start; undelivered updates
-    # are dropped at frame end, so no state crosses frames.
-    sm1 = primary_success(P, g_m_m, eps)                         # U_m primary, slot m
-    sp1 = secondary_capped_success(P_S, g_mp_m, P, g_m_m, eps)   # U_m' secondary, slot m
-    sp2 = primary_success(P, g_mp_mp, eps)                       # U_m' retry, slot m'
-    # U_m's retry in slot m': capped if U_m' retransmits, solo if it is silent
-    sm2 = np.where(sp1,
-                   secondary_solo_success(P_S, g_m_mp, eps),
-                   secondary_capped_success(P_S, g_m_mp, P, g_mp_mp, eps))
-    ev_m = _merge_events([(t_m[sm1], m * T, m), (t_mp[~sm1 & sm2], mp * T, mp)],
-                         m, m * T)
-    ev_mp = _merge_events([(t_m[sp1], m * T, m), (t_mp[~sp1 & sp2], mp * T, mp)],
-                          mp, mp * T)
-    return ev_m, ev_mp
-
-
 def simulate_events(config: SystemConfig) -> list[UserEvents]:
-    """Simulate the full horizon and return each user's delivery history.
-
-    Pair substreams are split deterministically from config.seed via
-    ``numpy.random.SeedSequence(seed).spawn``, so results do not depend on
-    the order in which pairs are processed.
-    """
-    children = np.random.SeedSequence(config.seed).spawn(config.M // 2)
-    events: list[UserEvents] = [None] * config.M  # type: ignore[list-item]
-    for pair_idx, m in enumerate(range(1, config.M // 2 + 1)):
-        rng = np.random.default_rng(children[pair_idx])
-        gains = rng.exponential(size=(config.frames, 4))
-        ev_m, ev_mp = _pair_events(config, m, gains)
-        events[m - 1] = ev_m
-        events[m - 1 + config.M // 2] = ev_mp
+    """Simulate the full horizon and return each user's delivery history,
+    from the same draws and classification as :func:`run`."""
+    M, h, T = config.M, config.M // 2, config.T
+    idx = np.arange(config.frames, dtype=np.float64)
+    events: list[UserEvents] = [None] * M  # type: ignore[list-item]
+    for m, rng in _pair_rngs(config):
+        gains = draw_gains(rng, (config.frames, 4))
+        t_m = (idx * M + m) * T        # end of slot m, frame i
+        t_mp = (idx * M + m + h) * T   # end of slot m'
+        for u, (at_m, at_mp, resets) in enumerate(_pair_outcomes(config, m, gains)):
+            events[m - 1 + u * h] = _merge_events(
+                [(t_m[at_m], resets[0] * T, m), (t_mp[at_mp], resets[1] * T, m + h)],
+                m + u * h, resets[u] * T)
     return events
 
 
@@ -211,41 +229,3 @@ def write_event_log(events: list[UserEvents], path) -> None:
         for ev in events:
             for t, a, s in zip(ev.times, ev.ages, ev.slots):
                 fh.write(f"{t:.17g} {ev.user_id} {s} {a:.17g}\n")
-
-
-def report_from_events(config: SystemConfig, events: list[UserEvents]) -> AoiReport:
-    """Exact time-average AoI per user over the post-warm-up window, with
-    3-sigma half-widths from batch means over N_BATCHES equal windows."""
-    t0 = config.warmup_frames * config.frame_duration
-    t1 = config.frames * config.frame_duration
-    per_user = []
-    halfwidths = []
-    batch_matrix = []
-    edges = np.linspace(t0, t1, N_BATCHES + 1)
-    for ev in events:
-        per_user.append(time_average_age(ev.times, ev.ages, t0, t1))
-        batches = [time_average_age(ev.times, ev.ages, edges[b], edges[b + 1])
-                   for b in range(N_BATCHES)]
-        batch_matrix.append(batches)
-        se = float(np.std(batches, ddof=1)) / np.sqrt(N_BATCHES)
-        halfwidths.append(3.0 * se)
-    overall_batches = np.mean(np.asarray(batch_matrix), axis=0)
-    overall_se = float(np.std(overall_batches, ddof=1)) / np.sqrt(N_BATCHES)
-    return AoiReport(
-        per_user_aoi=per_user,
-        overall_aoi=float(np.mean(per_user)),
-        per_user_halfwidth=halfwidths,
-        overall_halfwidth=3.0 * overall_se,
-        frames_used=config.frames - config.warmup_frames,
-        seed=config.seed,
-    )
-
-
-def run(config: SystemConfig, event_log: str | None = None) -> AoiReport:
-    """Simulate ``config`` and return the AoI report.  Deterministic given
-    (config, seed).  If ``event_log`` is given, the delivery log is written
-    there in the line format read by the oracle module."""
-    events = simulate_events(config)
-    if event_log is not None:
-        write_event_log(events, event_log)
-    return report_from_events(config, events)

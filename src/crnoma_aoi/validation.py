@@ -8,6 +8,7 @@ tolerance.  ``fast`` runs at reduced horizon/trials for a quick smoke check;
 
 from __future__ import annotations
 
+import os
 import tempfile
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 from . import analytic, oracle
 from .experiments import ExperimentSpec, run_experiment
 from .model import SystemConfig, db_to_linear, epsilon_of
-from .simulator import report_from_events, run, simulate_events, write_event_log
+from .simulator import run, simulate_events, write_event_log
 
 LEVELS = {
     "fast": {"frames": 20_000, "trials": 100_000},
@@ -142,24 +143,24 @@ def run_validation(level: str = "fast", seed: int = 7) -> list[CheckResult]:
     # -- renewal-reward cross-check on real event logs --------------------
     renewal_ok = True
     worst_abs = 0.0
-    for scheme in ("TDMA", "CR-NOMA"):
-        for gen_model in ("GAW", "GAR"):
-            cfg = SystemConfig(M=4, T=0.5, R=1.0, P=1.0, P_S=1.0, scheme=scheme,
-                               gen_model=gen_model, frames=max(lv["frames"] // 10, 2000),
-                               warmup_frames=50, seed=seed + 20)
-            events = simulate_events(cfg)
-            report = report_from_events(cfg, events)
-            with tempfile.NamedTemporaryFile("w", suffix=".log", delete=False) as fh:
-                log_path = fh.name
-            write_event_log(events, log_path)
-            parsed = oracle.parse_event_log(log_path)
-            t0 = cfg.warmup_frames * cfg.frame_duration
-            t1 = cfg.frames * cfg.frame_duration
-            recomputed = oracle.renewal_aoi(parsed, t1, t0)
-            for k in range(cfg.M):
-                d = abs(recomputed[k + 1] - report.per_user_aoi[k])
-                worst_abs = max(worst_abs, d)
-                renewal_ok &= d < 1e-9
+    with tempfile.TemporaryDirectory() as log_dir:
+        for scheme in ("TDMA", "CR-NOMA"):
+            for gen_model in ("GAW", "GAR"):
+                cfg = SystemConfig(M=4, T=0.5, R=1.0, P=1.0, P_S=1.0, scheme=scheme,
+                                   gen_model=gen_model,
+                                   frames=max(lv["frames"] // 10, 2000),
+                                   warmup_frames=50, seed=seed + 20)
+                log_path = os.path.join(log_dir, f"{scheme}-{gen_model}.log")
+                write_event_log(simulate_events(cfg), log_path)
+                parsed = oracle.parse_event_log(log_path)
+                t0 = cfg.warmup_frames * cfg.frame_duration
+                t1 = cfg.frames * cfg.frame_duration
+                recomputed = oracle.renewal_aoi(parsed, t1, t0)
+                report = run(cfg)
+                for k in range(cfg.M):
+                    d = abs(recomputed[k + 1] - report.per_user_aoi[k])
+                    worst_abs = max(worst_abs, d)
+                    renewal_ok &= d < 1e-9
     add("renewal_cross_check", renewal_ok, f"worst |diff|={worst_abs:.2e} < 1e-9")
 
     # -- series identities ------------------------------------------------

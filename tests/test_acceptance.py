@@ -13,8 +13,7 @@ import pytest
 from crnoma_aoi import analytic, oracle
 from crnoma_aoi.experiments import ExperimentSpec, run_experiment
 from crnoma_aoi.model import SystemConfig, db_to_linear, epsilon_of
-from crnoma_aoi.simulator import (report_from_events, simulate_events,
-                                  write_event_log)
+from crnoma_aoi.simulator import run, simulate_events, write_event_log
 
 EPS1 = epsilon_of(1.0)
 FRAMES = 200_000
@@ -27,7 +26,7 @@ def _sim(scheme, gen_model, M, T, R, snr_db, seed):
                        P_S=db_to_linear(snr_db), scheme=scheme,
                        gen_model=gen_model, frames=FRAMES,
                        warmup_frames=100, seed=seed)
-    return report_from_events(cfg, simulate_events(cfg))
+    return run(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -147,17 +146,16 @@ def test_criterion_7_renewal_cross_check(tmp_path):
                                scheme=scheme, gen_model=gen_model,
                                frames=20_000, warmup_frames=100,
                                seed=SEED + 20)
-            events = simulate_events(cfg)
-            rep = report_from_events(cfg, events)
+            rep = run(cfg)
             log = tmp_path / f"{scheme}-{gen_model}.log"
-            write_event_log(events, log)
+            write_event_log(simulate_events(cfg), log)
             recomputed = oracle.renewal_aoi(
                 oracle.parse_event_log(log),
                 cfg.frames * cfg.frame_duration,
                 cfg.warmup_frames * cfg.frame_duration)
             for k in range(cfg.M):
                 worst = max(worst, abs(recomputed[k + 1] - rep.per_user_aoi[k]))
-    report("7", f"renewal recomputation vs trapezoid integrator: "
+    report("7", f"renewal recomputation vs per-frame kernel: "
                 f"worst |diff|={worst:.2e} (tol 1e-9)")
     assert worst < 1e-9
 

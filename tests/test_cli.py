@@ -1,8 +1,14 @@
-import pytest
+import math
+import tempfile
 
+import pytest
+from hypothesis import given, strategies as st
+
+from crnoma_aoi import experiments
 from crnoma_aoi.cli import main
 from crnoma_aoi.experiments import (CSV_HEADER, PRESETS, ExperimentSpec,
                                     preset_spec, run_experiment)
+from crnoma_aoi.validation import run_validation
 
 
 class TestPresets:
@@ -80,6 +86,37 @@ class TestRunExperiment:
                                snr_db_values=(0.0,), outputs="analytic")
         row = run_experiment(spec).strip().split("\n")[1].split(",")
         assert float(row[8]) == pytest.approx(28.1194, abs=1e-3)
+
+
+class TestSpecValidation:
+    @given(T=st.floats(min_value=1e-3, max_value=1e3),
+           R=st.floats(min_value=0.0, max_value=10.0),
+           snr=st.floats(min_value=-50.0, max_value=50.0))
+    def test_finite_spec_accepted(self, T, R, snr):
+        ExperimentSpec(T_values=(T,), R_values=(R,), snr_db_values=(snr,)).validate()
+
+    @given(axis=st.sampled_from(["T_values", "R_values", "snr_db_values"]),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_axis_rejected_before_any_run(self, axis, bad):
+        spec = ExperimentSpec(**{axis: (1.0, bad)}, frames=2000, warmup=10)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "run", pytest.fail)
+            with pytest.raises(ValueError):
+                run_experiment(spec)
+
+    @given(frames=st.integers(min_value=0, max_value=10 ** 6),
+           extra=st.integers(min_value=0, max_value=10 ** 6))
+    def test_frames_not_above_warmup_rejected(self, frames, extra):
+        with pytest.raises(ValueError):
+            ExperimentSpec(frames=frames, warmup=frames + extra).validate()
+
+
+class TestValidate:
+    def test_leaves_no_temp_files(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        checks = run_validation("fast")
+        assert any(c.name == "renewal_cross_check" and c.passed for c in checks)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCliMain:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from crnoma_aoi.model import (SystemConfig, db_to_linear, draw_gain, draw_gains,
-                              epsilon_of, primary_success,
-                              secondary_capped_success, secondary_solo_success)
+from crnoma_aoi.model import (SystemConfig, db_to_linear, draw_gains, epsilon_of,
+                              primary_success, secondary_capped_success,
+                              secondary_solo_success)
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
 gains = st.floats(min_value=0.0, max_value=1e3)
@@ -47,7 +47,7 @@ class TestDrawGain:
 
     def test_nonnegative_scalar(self):
         rng = np.random.default_rng(0)
-        assert all(draw_gain(rng) >= 0.0 for _ in range(100))
+        assert all(draw_gains(rng, None) >= 0.0 for _ in range(100))
 
     def test_reproducible_stream(self):
         a = draw_gains(np.random.default_rng(42), 1000)
@@ -119,3 +119,14 @@ class TestSystemConfig:
         base.update(kw)
         with pytest.raises(ValueError):
             SystemConfig(**base)
+
+    @given(field=st.sampled_from(["T", "R", "P", "P_S"]),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+           T=positive, R=st.floats(min_value=0.0, max_value=10.0),
+           P=positive, P_S=positive)
+    def test_non_finite_rejected(self, field, bad, T, R, P, P_S):
+        kw = dict(M=8, T=T, R=R, P=P, P_S=P_S)
+        SystemConfig(**kw)
+        kw[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SystemConfig(**kw)

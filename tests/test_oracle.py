@@ -5,8 +5,7 @@ import pytest
 
 from crnoma_aoi import analytic, oracle
 from crnoma_aoi.model import SystemConfig, db_to_linear, epsilon_of
-from crnoma_aoi.simulator import (report_from_events, simulate_events,
-                                  write_event_log)
+from crnoma_aoi.simulator import run, simulate_events, write_event_log
 
 EPS1 = 1.0
 
@@ -93,10 +92,9 @@ class TestRenewalAoi:
     def test_matches_simulator_integrator(self, tmp_path, scheme, gen):
         cfg = SystemConfig(M=4, T=0.5, R=1.0, P=1.0, P_S=1.0, scheme=scheme,
                            gen_model=gen, frames=5000, warmup_frames=100, seed=21)
-        events = simulate_events(cfg)
-        report = report_from_events(cfg, events)
+        report = run(cfg)
         log = tmp_path / "events.log"
-        write_event_log(events, log)
+        write_event_log(simulate_events(cfg), log)
         parsed = oracle.parse_event_log(log)
         t0 = cfg.warmup_frames * cfg.frame_duration
         t1 = cfg.frames * cfg.frame_duration

@@ -1,12 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from crnoma_aoi import analytic
-from crnoma_aoi.model import SystemConfig, db_to_linear, epsilon_of
-from crnoma_aoi.simulator import (AoiTracker, report_from_events, run,
-                                  simulate_events, time_average_age)
+from crnoma_aoi import analytic, oracle, simulator
+from crnoma_aoi.model import SystemConfig, db_to_linear, draw_gains, epsilon_of
+from crnoma_aoi.simulator import run, simulate_events, write_event_log
 
 EPS1 = 1.0
 
@@ -19,64 +19,103 @@ def cfg(scheme="TDMA", gen_model="GAW", M=8, T=1.5, R=1.0, snr_db=0.0,
                         warmup_frames=warmup, seed=seed)
 
 
-class TestAoiTracker:
-    def test_trapezoid_arithmetic(self):
-        tr = AoiTracker(last_event_time=0.0, age_at_last_event=1.0)
-        tr.reset_age(2.0, 1.0)
-        assert tr.accumulated_area == pytest.approx(1.0 * 2.0 + 2.0)
+class TestWindowedAverage:
+    """Exact time averages of run() over the post-warm-up window, on
+    processes with known integrals."""
 
-    def test_zero_dt(self):
-        tr = AoiTracker(last_event_time=1.0, age_at_last_event=1.0)
-        tr.reset_age(1.0, 1.0)
-        assert tr.accumulated_area == 0.0
+    NEVER = 200.0   # R so large (eps = 2^200 - 1) that nothing is delivered
 
-    def test_periodic_resets(self):
-        # resets to T every MT seconds -> average T + MT/2 exactly
-        M, T, n = 8, 1.5, 50
-        tr = AoiTracker(age_at_last_event=T)
-        for j in range(1, n + 1):
-            tr.reset_age(j * M * T, T)
-        assert tr.finalize(n * M * T) == pytest.approx(T + M * T / 2, rel=1e-12)
+    def test_ramp(self):
+        # no delivery: the GAW age starts at T and ramps for the whole horizon
+        r = run(cfg(R=self.NEVER, M=4, T=1.5, frames=1000, warmup=0))
+        for a in r.per_user_aoi:
+            assert a == pytest.approx(1.5 + 1000 * 4 * 1.5 / 2, rel=1e-12)
 
     def test_linear_ramp_average(self):
-        tr = AoiTracker(last_event_time=0.0, age_at_last_event=2.0)
-        assert tr.finalize(4.0) == pytest.approx(4.0)
-
-    def test_empty_window(self):
-        tr = AoiTracker()
-        with pytest.raises(ValueError):
-            tr.finalize(0.0)
-
-    def test_time_regression(self):
-        tr = AoiTracker(last_event_time=5.0, age_at_last_event=1.0)
-        with pytest.raises(ValueError):
-            tr.reset_age(4.0, 1.0)
-
-    def test_age_increase_rejected(self):
-        tr = AoiTracker(last_event_time=0.0, age_at_last_event=1.0)
-        with pytest.raises(ValueError):
-            tr.reset_age(1.0, 5.0)
+        # under GAR user k starts at age k*T (the reset age of its own slot)
+        M, T, F = 6, 0.5, 997
+        for scheme in ("TDMA", "CR-NOMA"):
+            r = run(cfg(scheme=scheme, gen_model="GAR", R=self.NEVER, M=M, T=T,
+                        frames=F, warmup=0))
+            for k, a in enumerate(r.per_user_aoi, start=1):
+                assert a == pytest.approx(k * T + F * M * T / 2, rel=1e-12)
 
     def test_warmup_clipping(self):
-        # event straddling the accumulation start is clipped exactly
-        tr = AoiTracker(age_at_last_event=1.0, accumulation_start=1.0)
-        tr.reset_age(2.0, 1.0)
-        assert tr.accumulated_area == pytest.approx(2.0 * 1.0 + 0.5)
+        # area before the warm-up boundary is discarded exactly
+        M, T, F, W = 4, 1.5, 1003, 37
+        for gen_model in ("GAW", "GAR"):
+            r = run(cfg(gen_model=gen_model, R=self.NEVER, M=M, T=T,
+                        frames=F, warmup=W))
+            for k, a in enumerate(r.per_user_aoi, start=1):
+                start_age = T if gen_model == "GAW" else k * T
+                assert a == pytest.approx(start_age + (W + F) * M * T / 2,
+                                          rel=1e-12)
 
-    def test_matches_vectorized_integrator(self):
-        rng = np.random.default_rng(3)
-        times = np.concatenate([[0.0], np.sort(rng.uniform(0, 100, 200))])
-        ages = np.concatenate([[1.0], rng.uniform(0.1, 1.0, 200)])
-        t0, t1 = 13.0, 100.0
-        tr = AoiTracker(age_at_last_event=ages[0], accumulation_start=t0)
-        for t, a in zip(times[1:], ages[1:]):
-            # keep resets legal: never above the running age
-            a = min(a, tr.age_at_last_event + (t - tr.last_event_time))
-            tr.reset_age(t, a)
-            # mirror the clamp in the arrays used for the vectorized path
-            ages[np.searchsorted(times, t)] = a
-        assert tr.finalize(t1) == pytest.approx(
-            time_average_age(times, ages, t0, t1), rel=1e-12)
+    def test_periodic_resets(self):
+        # TDMA/GAW at R=0: user k resets to T at the end of slot k of every
+        # frame; the first and last partial periods are integrated exactly
+        M, T, F = 8, 1.5, 1001
+        r = run(cfg(R=0.0, M=M, T=T, frames=F, warmup=0))
+        for k, a in enumerate(r.per_user_aoi, start=1):
+            twice_area = ((k + 1) ** 2 - 1 + (F - 1) * ((M + 1) ** 2 - 1)
+                          + (M - k + 1) ** 2 - 1)
+            assert a == pytest.approx(twice_area * T / (2 * F * M), rel=1e-12)
+
+    def test_empty_window(self):
+        # a zero-length averaging window (warm-up eats the whole horizon)
+        # has no time average
+        for frames in (0, 1, 100):
+            with pytest.raises(ValueError):
+                cfg(frames=frames, warmup=frames)
+
+    def test_empty_window_rejected(self):
+        with pytest.raises(ValueError):
+            cfg(frames=100, warmup=100)
+        with pytest.raises(ValueError):
+            run(cfg(frames=110, warmup=100))   # fewer frames than batches
+
+
+class TestKernel:
+    PAIRS = [("TDMA", "GAW"), ("CR-NOMA", "GAW"), ("TDMA", "GAR"),
+             ("CR-NOMA", "GAR")]
+
+    @pytest.mark.parametrize("scheme,gen", PAIRS)
+    def test_matches_oracle(self, tmp_path, scheme, gen):
+        # 2983 post-warm-up frames: not a multiple of 20 or of the chunk size
+        c = cfg(scheme=scheme, gen_model=gen, M=6, T=1.5, frames=3000,
+                warmup=17, seed=4)
+        log = tmp_path / "events.log"
+        write_event_log(simulate_events(c), log)
+        expect = oracle.renewal_aoi(oracle.parse_event_log(log),
+                                    c.frames * c.frame_duration,
+                                    c.warmup_frames * c.frame_duration)
+        r = run(c)
+        for k in range(c.M):
+            assert abs(r.per_user_aoi[k] - expect[k + 1]) < 1e-9
+
+    @pytest.mark.parametrize("scheme,gen", PAIRS)
+    def test_chunk_size_invariant(self, monkeypatch, scheme, gen):
+        c = cfg(scheme=scheme, gen_model=gen, M=4, frames=1000, warmup=13)
+        whole = run(c)
+        monkeypatch.setattr(simulator, "CHUNK_FRAMES", 7)
+        assert run(c) == whole
+
+    def test_chunked_draws_match_one_draw(self):
+        whole = draw_gains(np.random.default_rng(8), (1000, 4))
+        rng = np.random.default_rng(8)
+        parts = [draw_gains(rng, (n, 4)) for n in (7, 300, 1, 692)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_memory_bounded(self):
+        # chunked frames: about 2 MiB here, where event arrays for this
+        # horizon would take hundreds of MiB
+        tracemalloc.start()
+        try:
+            run(cfg(M=8, frames=2_000_000, warmup=100))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestDeterminism:
@@ -193,14 +232,3 @@ class TestEventStatistics:
             # allowed values: x*MT and x*MT +- MT/2 for integer x >= 0
             scaled = gaps / (MT / 2.0)
             assert np.allclose(scaled, np.round(scaled), atol=1e-9)
-
-
-class TestWindowedAverage:
-    def test_ramp(self):
-        times = np.array([0.0])
-        ages = np.array([2.0])
-        assert time_average_age(times, ages, 0.0, 4.0) == pytest.approx(4.0)
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(ValueError):
-            time_average_age(np.array([0.0]), np.array([1.0]), 1.0, 1.0)
