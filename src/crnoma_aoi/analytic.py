@@ -167,6 +167,23 @@ def crnoma_gar_overall(M: int, T: float, eps: float, P: float, P_S: float) -> fl
     return total / M
 
 
+def closed_form_aoi(scheme: str, gen_model: str, M: int, T: float, eps: float,
+                    P: float, P_S: float, user: int | None = None) -> float:
+    """Closed-form average AoI of one scheme/model point: the network average,
+    or user ``user``'s (1..M) under GAR.  Under GAW every user has the
+    network average."""
+    tdma = scheme == "TDMA"
+    if gen_model == "GAW":
+        return tdma_gaw_aoi(M, T, eps, P) if tdma else crnoma_gaw_aoi(M, T, eps, P, P_S)
+    if user is None:
+        return (tdma_gar_overall(M, T, eps, P) if tdma
+                else crnoma_gar_overall(M, T, eps, P, P_S))
+    if tdma:
+        return tdma_gar_user_aoi(user, M, T, eps, P)
+    m = user if user <= M // 2 else user - M // 2
+    return crnoma_gar_user_aoi(user, m, M, T, eps, P, P_S)
+
+
 def gar_high_snr_gap(M: int, T: float, eps: float) -> float:
     """High-SNR AoI advantage of CR-NOMA over TDMA for user m': -MT / (2(1+eps))."""
     return -M * T / (2.0 * (1.0 + eps))

@@ -102,6 +102,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_probs(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     eps = epsilon_of(args.R)
     P = db_to_linear(args.snr_db)
     P_S = db_to_linear(args.ps_db) if args.ps_db is not None else P

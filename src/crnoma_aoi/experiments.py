@@ -4,6 +4,9 @@ Each grid point produces one ``overall`` row; GAR grid points additionally
 produce one row per requested user (per-user AoI is the interesting quantity
 there).  Rows are emitted in sorted axis order so that identical specs yield
 byte-identical CSV documents.
+
+The grid points of one M share one seed, derived from (spec seed, M), and so
+their channel draws; adding a grid point reseeds none of the others.
 """
 
 from __future__ import annotations
@@ -12,9 +15,11 @@ import io
 import itertools
 from dataclasses import dataclass
 
-from . import analytic
+import numpy as np
+
+from .analytic import closed_form_aoi
 from .model import SystemConfig, db_to_linear, epsilon_of
-from .simulator import run
+from .simulator import run_many
 
 CSV_HEADER = ("preset,scheme,gen_model,M,T,R,snr_db,user_id,"
               "aoi_analytic,aoi_sim,sim_ci_halfwidth,frames,seed")
@@ -42,9 +47,17 @@ class ExperimentSpec:
     def validate(self) -> None:
         """Reject a bad spec before any point is simulated.  Every grid point
         must build a :class:`SystemConfig`, which holds the per-point rules
-        (even M, finite T, R and SNR, known scheme, frames > warmup)."""
-        if not self.schemes:
-            raise ValueError("scheme list must not be empty")
+        (even M, finite T, R and SNR, known scheme, frames > warmup).  Axes
+        must be non-empty and, like ``users``, free of duplicates."""
+        for name in ("schemes", "M_values", "T_values", "R_values",
+                     "snr_db_values", "users"):
+            values = getattr(self, name)
+            if not values and name != "users":
+                raise ValueError(f"{name} must not be empty")
+            if values and len(set(values)) < len(values):
+                raise ValueError(f"{name} has duplicate values: {values}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.outputs not in ("both", "analytic", "sim"):
             raise ValueError(f"outputs must be both/analytic/sim, got {self.outputs!r}")
         for scheme, M, T, R, snr in itertools.product(
@@ -90,23 +103,11 @@ def preset_spec(name: str) -> ExperimentSpec:
     return PRESETS[name]
 
 
-def _analytic_overall(scheme: str, gen_model: str, M: int, T: float,
-                      eps: float, P: float) -> float:
-    if gen_model == "GAW":
-        if scheme == "TDMA":
-            return analytic.tdma_gaw_aoi(M, T, eps, P)
-        return analytic.crnoma_gaw_aoi(M, T, eps, P, P)
-    if scheme == "TDMA":
-        return analytic.tdma_gar_overall(M, T, eps, P)
-    return analytic.crnoma_gar_overall(M, T, eps, P, P)
-
-
-def _analytic_user(scheme: str, k: int, M: int, T: float,
-                   eps: float, P: float) -> float:
-    if scheme == "TDMA":
-        return analytic.tdma_gar_user_aoi(k, M, T, eps, P)
-    m = k if k <= M // 2 else k - M // 2
-    return analytic.crnoma_gar_user_aoi(k, m, M, T, eps, P, P)
+def _sweep_seed(seed: int, M: int) -> int:
+    """The simulation seed of every grid point with M users: a 64-bit word
+    drawn from ``SeedSequence([seed, M])``, so distinct (seed, M) pairs get
+    unrelated streams."""
+    return int(np.random.SeedSequence([seed, M]).generate_state(1, np.uint64)[0])
 
 
 def _fmt(x: float) -> str:
@@ -114,52 +115,42 @@ def _fmt(x: float) -> str:
 
 
 def run_experiment(spec: ExperimentSpec) -> str:
-    """Execute the sweep and return the CSV document (header included)."""
+    """Execute the sweep and return the CSV document (header included).  A
+    row's ``seed`` column is the seed it was simulated with, so ``run`` of
+    the row's :class:`SystemConfig` at that seed reproduces it."""
     spec.validate()
-    grid = sorted(
-        (scheme, M, T, R, float(snr))
-        for scheme in spec.schemes
-        for M in spec.M_values
-        for T in spec.T_values
-        for R in spec.R_values
-        for snr in spec.snr_db_values
-    )
+    grid = sorted(itertools.product(spec.schemes, spec.M_values, spec.T_values,
+                                    spec.R_values, map(float, spec.snr_db_values)))
+    seeds = {M: _sweep_seed(spec.seed, M) for M in spec.M_values}
+    reports = {}
+    if spec.outputs != "analytic":
+        for M, seed in seeds.items():
+            points = [p for p in grid if p[1] == M]
+            reports.update(zip(points, run_many([
+                SystemConfig(M=M, T=T, R=R, P=db_to_linear(snr), P_S=db_to_linear(snr),
+                             scheme=scheme, gen_model=spec.gen_model,
+                             frames=spec.frames, warmup_frames=spec.warmup, seed=seed)
+                for scheme, _, T, R, snr in points])))
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
-    for run_index, (scheme, M, T, R, snr) in enumerate(grid):
-        P = db_to_linear(snr)
-        eps = epsilon_of(R)
-        # documented splitting rule: each grid point gets seed XOR run-index
-        point_seed = spec.seed ^ run_index
-        report = None
-        if spec.outputs in ("both", "sim"):
-            cfg = SystemConfig(M=M, T=T, R=R, P=P, P_S=P, scheme=scheme,
-                               gen_model=spec.gen_model, frames=spec.frames,
-                               warmup_frames=spec.warmup, seed=point_seed)
-            report = run(cfg)
-
-        rows: list[tuple[str, float | None, float | None, float | None]] = []
-        a_overall = (_analytic_overall(scheme, spec.gen_model, M, T, eps, P)
-                     if spec.outputs != "sim" else None)
-        rows.append(("overall", a_overall,
-                     report.overall_aoi if report else None,
-                     report.overall_halfwidth if report else None))
-        if spec.gen_model == "GAR":
-            users = spec.users if spec.users is not None else tuple(range(1, M + 1))
-            for k in sorted(u for u in users if u <= M):
-                a_k = (_analytic_user(scheme, k, M, T, eps, P)
-                       if spec.outputs != "sim" else None)
-                rows.append((str(k), a_k,
-                             report.per_user_aoi[k - 1] if report else None,
-                             report.per_user_halfwidth[k - 1] if report else None))
-
-        for user_id, a_val, s_val, hw in rows:
+    for point in grid:
+        scheme, M, T, R, snr = point
+        P, report = db_to_linear(snr), reports.get(point)
+        users = spec.users if spec.users is not None else range(1, M + 1)
+        for user in [None, *(sorted(users) if spec.gen_model == "GAR" else ())]:
+            a_val = s_val = hw = ""
+            if spec.outputs != "sim":
+                a_val = _fmt(closed_form_aoi(scheme, spec.gen_model, M, T,
+                                             epsilon_of(R), P, P, user))
+            if report is not None:
+                s_val, hw = map(_fmt, (report.overall_aoi, report.overall_halfwidth)
+                                if user is None else
+                                (report.per_user_aoi[user - 1],
+                                 report.per_user_halfwidth[user - 1]))
             out.write(",".join([
                 spec.preset, scheme, spec.gen_model,
-                str(M), _fmt(T), _fmt(R), _fmt(snr), user_id,
-                _fmt(a_val) if a_val is not None else "",
-                _fmt(s_val) if s_val is not None else "",
-                _fmt(hw) if hw is not None else "",
-                str(spec.frames), str(point_seed),
+                str(M), _fmt(T), _fmt(R), _fmt(snr),
+                "overall" if user is None else str(user), a_val, s_val, hw,
+                str(spec.frames), str(seeds[M]),
             ]) + "\n")
     return out.getvalue()

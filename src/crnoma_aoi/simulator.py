@@ -17,6 +17,10 @@ slot m'), an exact multiple of T^2/2.  The only state crossing frames is the
 origin and CR-NOMA/GAW's one-frame ``pending`` retry, so frames are drawn and
 integrated in fixed chunks and memory does not grow with the horizon.
 
+:func:`run_many` draws each chunk's gains once for configs sharing M, model,
+horizon and seed, and classifies them per (scheme, R, P, P_S); T only scales
+the integer areas.  :func:`run` is ``run_many`` of one config.
+
 :func:`simulate_events` returns the same deliveries as explicit per-user
 event arrays; it feeds the event log read by :mod:`crnoma_aoi.oracle`.
 """
@@ -138,40 +142,64 @@ def run(config: SystemConfig) -> AoiReport:
     """Simulate ``config`` and return the exact time-average AoI per user over
     the post-warm-up window, with 3-sigma half-widths from batch means over
     N_BATCHES blocks of whole frames.  Deterministic given (config, seed)."""
-    M, h, T = config.M, config.M // 2, config.T
-    n_used = config.frames - config.warmup_frames
+    return run_many([config])[0]
+
+
+def run_many(configs: list[SystemConfig]) -> list[AoiReport]:
+    """Simulate configs that share (M, gen_model, frames, warmup_frames, seed)
+    on common gain draws; return one report per config, equal to its
+    :func:`run`.  Each distinct (scheme, R, P, P_S) is integrated once, with
+    its own origins and ``pending`` bit; T is applied only at the end."""
+    if len({(c.M, c.gen_model, c.frames, c.warmup_frames, c.seed)
+            for c in configs}) != 1:
+        raise ValueError("run_many needs one or more configs sharing M, "
+                         "gen_model, frames, warmup_frames and seed")
+    first = configs[0]
+    M, h = first.M, first.M // 2
+    n_used = first.frames - first.warmup_frames
     if n_used < N_BATCHES:
         raise ValueError(f"need at least {N_BATCHES} frames after warm-up, "
                          f"got {n_used}")
+    keyed = {(c.scheme, c.R, c.P, c.P_S): c for c in configs}
     # twice each user's area per batch, in slot^2; Python ints cannot overflow
-    areas = [[0] * N_BATCHES for _ in range(M)]
-    for m, rng in _pair_rngs(config):
+    areas = {key: [[0] * N_BATCHES for _ in range(M)] for key in keyed}
+    for m, rng in _pair_rngs(first):
         # at t=0 each age is the reset age of the user's own slot
-        origins = [-1, -1] if config.gen_model == "GAW" else [-m, -m - h]
-        pending = False
-        for start, n, batch in _chunks(config):
-            outcomes = _pair_outcomes(config, m, draw_gains(rng, (n, 4)), pending)
-            # U_m' retries in the next frame iff its last slot-m' primary failed
-            pending = not outcomes[1][1][-1]
+        origins = {key: [-1, -1] if first.gen_model == "GAW" else [-m, -m - h]
+                   for key in keyed}
+        pending = dict.fromkeys(keyed, False)
+        for start, n, batch in _chunks(first):
+            gains = draw_gains(rng, (n, 4))
             base = (start + np.arange(n, dtype=np.int64)) * M
             sum_base = M * (n * start + n * (n - 1) // 2)
-            for u, (at_m, at_mp, (r_m, r_mp)) in enumerate(outcomes):
-                # origin after slot m, then after slot m', of every frame
-                o_m = np.where(at_m, base + (m - r_m), _NO_DELIVERY)
-                o_m[0] = max(o_m[0], origins[u])
-                o_mp = np.maximum.accumulate(np.maximum(
-                    o_m, np.where(at_mp, base + (m + h - r_mp), _NO_DELIVERY)))
-                np.maximum(o_m[1:], o_mp[:-1], out=o_m[1:])
-                s_m, s_mp = int(o_m.sum()), int(o_mp.sum())
-                last = int(o_mp[-1])
-                s_start = origins[u] + s_mp - last
-                origins[u] = last
-                if batch >= 0:
-                    # per frame, sum over its segments [a, b] of
-                    # (b - a)(a + b - 2 o) = M^2 + 2 (m d0 + h d1 + (h - m) d2)
-                    # with d = frame start - origin of the segment
-                    areas[(m - 1) + u * h][batch] += n * M * M + 2 * (
-                        M * sum_base - m * s_start - h * s_m - (h - m) * s_mp)
+            for key, cfg in keyed.items():
+                outcomes = _pair_outcomes(cfg, m, gains, pending[key])
+                # U_m' retries in the next frame iff its last slot-m' primary failed
+                pending[key] = not outcomes[1][1][-1]
+                origin = origins[key]
+                for u, (at_m, at_mp, (r_m, r_mp)) in enumerate(outcomes):
+                    # origin after slot m, then after slot m', of every frame
+                    o_m = np.where(at_m, base + (m - r_m), _NO_DELIVERY)
+                    o_m[0] = max(o_m[0], origin[u])
+                    o_mp = np.maximum.accumulate(np.maximum(
+                        o_m, np.where(at_mp, base + (m + h - r_mp), _NO_DELIVERY)))
+                    np.maximum(o_m[1:], o_mp[:-1], out=o_m[1:])
+                    s_m, s_mp = int(o_m.sum()), int(o_mp.sum())
+                    last = int(o_mp[-1])
+                    s_start = origin[u] + s_mp - last
+                    origin[u] = last
+                    if batch >= 0:
+                        # per frame, sum over its segments [a, b] of
+                        # (b - a)(a + b - 2 o) = M^2 + 2 (m d0 + h d1 + (h - m) d2)
+                        # with d = frame start - origin of the segment
+                        areas[key][(m - 1) + u * h][batch] += n * M * M + 2 * (
+                            M * sum_base - m * s_start - h * s_m - (h - m) * s_mp)
+    return [_report(c, areas[(c.scheme, c.R, c.P, c.P_S)]) for c in configs]
+
+
+def _report(config: SystemConfig, areas: list[list[int]]) -> AoiReport:
+    """Scale twice the per-user, per-batch areas (slot^2) by T into AoI."""
+    M, T, n_used = config.M, config.T, config.frames - config.warmup_frames
     sizes = np.diff(_batch_edges(config))
     batch_aoi = np.array(areas, dtype=np.float64) * T / (2 * M * sizes)
     per_user = [sum(a) * T / (2 * M * n_used) for a in areas]

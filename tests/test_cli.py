@@ -1,13 +1,16 @@
 import math
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from crnoma_aoi import experiments
+from crnoma_aoi import experiments, simulator
 from crnoma_aoi.cli import main
 from crnoma_aoi.experiments import (CSV_HEADER, PRESETS, ExperimentSpec,
                                     preset_spec, run_experiment)
+from crnoma_aoi.model import SystemConfig, db_to_linear
+from crnoma_aoi.simulator import run
 from crnoma_aoi.validation import run_validation
 
 
@@ -88,6 +91,69 @@ class TestRunExperiment:
         assert float(row[8]) == pytest.approx(28.1194, abs=1e-3)
 
 
+class TestSharedDraws:
+    """Grid points of one M share a seed and their channel draws."""
+
+    def spec(self, **kw):
+        base = dict(schemes=("TDMA", "CR-NOMA"), gen_model="GAR", M_values=(2, 4),
+                    T_values=(0.5, 1.5), R_values=(1.0,), snr_db_values=(0.0, 10.0),
+                    users=(1, 2), frames=2000, warmup=10, seed=3)
+        base.update(kw)
+        return ExperimentSpec(**base)
+
+    @staticmethod
+    def rows(csv_text):
+        header, *lines = csv_text.strip().split("\n")
+        return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+    @pytest.mark.parametrize("gen_model", ["GAW", "GAR"])
+    def test_rows_reproduced_by_run_at_seed_column(self, gen_model):
+        spec = self.spec(gen_model=gen_model)
+        for row in self.rows(run_experiment(spec)):
+            P = db_to_linear(float(row["snr_db"]))
+            report = run(SystemConfig(
+                M=int(row["M"]), T=float(row["T"]), R=float(row["R"]), P=P, P_S=P,
+                scheme=row["scheme"], gen_model=gen_model, frames=spec.frames,
+                warmup_frames=spec.warmup, seed=int(row["seed"])))
+            if row["user_id"] == "overall":
+                sim, hw = report.overall_aoi, report.overall_halfwidth
+            else:
+                k = int(row["user_id"]) - 1
+                sim, hw = report.per_user_aoi[k], report.per_user_halfwidth[k]
+            assert (row["aoi_sim"], row["sim_ci_halfwidth"]) == (f"{sim:.6g}", f"{hw:.6g}")
+
+    def test_added_snr_leaves_other_rows_unchanged(self):
+        before = run_experiment(self.spec()).split("\n")
+        after = run_experiment(self.spec(snr_db_values=(0.0, 5.0, 10.0))).split("\n")
+        assert [line for line in after if line.split(",")[6:7] != ["5"]] == before
+        assert len(after) > len(before)
+
+    def test_seed_streams_do_not_collide(self):
+        # under the old seed XOR run-index rule, seed 1 at index 0 equalled
+        # seed 0 at index 1
+        a = self.rows(run_experiment(self.spec(seed=0)))
+        b = self.rows(run_experiment(self.spec(seed=1)))
+        seeds_a, seeds_b = {r["seed"] for r in a}, {r["seed"] for r in b}
+        assert len(seeds_a) == len(seeds_b) == 2 and not seeds_a & seeds_b
+        assert all(x["aoi_sim"] != y["aoi_sim"] for x, y in zip(a, b))
+
+    def test_gains_drawn_once_per_pair_and_chunk(self, monkeypatch):
+        calls = []
+
+        def counting(rng, size):
+            calls.append(size)
+            return draw(rng, size)
+
+        draw = simulator.draw_gains
+        monkeypatch.setattr(simulator, "draw_gains", counting)
+        spec = replace(preset_spec("fig4b"), frames=2000)
+        lines = run_experiment(spec).strip().split("\n")
+        assert len(lines) == 1 + 54
+        # M/2 = 4 pairs x 21 chunks (the warm-up, then 20 batches of 95
+        # frames), shared by all 54 grid points
+        assert len(calls) == 4 * 21
+
+
 class TestSpecValidation:
     @given(T=st.floats(min_value=1e-3, max_value=1e3),
            R=st.floats(min_value=0.0, max_value=10.0),
@@ -100,7 +166,7 @@ class TestSpecValidation:
     def test_non_finite_axis_rejected_before_any_run(self, axis, bad):
         spec = ExperimentSpec(**{axis: (1.0, bad)}, frames=2000, warmup=10)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(experiments, "run", pytest.fail)
+            mp.setattr(experiments, "run_many", pytest.fail)
             with pytest.raises(ValueError):
                 run_experiment(spec)
 
@@ -109,6 +175,45 @@ class TestSpecValidation:
     def test_frames_not_above_warmup_rejected(self, frames, extra):
         with pytest.raises(ValueError):
             ExperimentSpec(frames=frames, warmup=frames + extra).validate()
+
+
+class TestDegenerateSpecs:
+    AXES = {"schemes": ("TDMA", "CR-NOMA"), "M_values": (2, 4, 8),
+            "T_values": (0.5, 1.5), "R_values": (0.5, 1.0),
+            "snr_db_values": (0.0, 10.0)}
+
+    @given(axis=st.sampled_from(sorted(AXES)), data=st.data())
+    def test_duplicate_axis_value_rejected(self, axis, data):
+        values = list(self.AXES[axis])
+        values.insert(data.draw(st.integers(0, len(values))),
+                      data.draw(st.sampled_from(values)))
+        with pytest.raises(ValueError, match="duplicate"):
+            ExperimentSpec(**{axis: tuple(values)}).validate()
+
+    @given(axis=st.sampled_from(sorted(AXES)))
+    def test_empty_axis_rejected(self, axis):
+        with pytest.raises(ValueError, match="empty"):
+            ExperimentSpec(**{axis: ()}).validate()
+
+    @given(users=st.lists(st.integers(1, 8), min_size=1, max_size=6))
+    def test_users_accepted_iff_distinct(self, users):
+        spec = ExperimentSpec(gen_model="GAR", M_values=(8,), users=tuple(users))
+        if len(set(users)) == len(users):
+            spec.validate()
+        else:
+            with pytest.raises(ValueError, match="duplicate"):
+                spec.validate()
+
+    @pytest.mark.parametrize("flags", [
+        ["--T", "0.5,0.5"], ["--snr-db", "0,10,0"], ["--M", "4,8,4"],
+        ["--schemes", "TDMA,TDMA"], ["--gen-model", "GAR", "--users", "1,1"],
+        ["--M", ""], ["--T", ""], ["--R", ","], ["--snr-db", ""],
+        ["--seed", "-1"]])
+    def test_cli_exits_2(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--analytic-only", *flags])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestValidate:
@@ -170,3 +275,10 @@ class TestCliMain:
         assert main(["probs", "--trials", "20000", "--ps-db", "5"]) == 0
         out = capsys.readouterr().out
         assert "certified for P = P_S" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_probs_rejects_nonpositive_trials(self, trials, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["probs", "--trials", trials])
+        assert exc.value.code == 2
+        assert "error: --trials must be >= 1" in capsys.readouterr().err

@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from crnoma_aoi import analytic, oracle, simulator
 from crnoma_aoi.model import SystemConfig, db_to_linear, draw_gains, epsilon_of
-from crnoma_aoi.simulator import run, simulate_events, write_event_log
+from crnoma_aoi.simulator import run, run_many, simulate_events, write_event_log
 
 EPS1 = 1.0
 
@@ -116,6 +117,31 @@ class TestKernel:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
+
+
+class TestRunMany:
+    @pytest.mark.parametrize("gen", ["GAW", "GAR"])
+    def test_equals_run_per_config(self, gen):
+        # both schemes on mixed T, R and SNR; some configs differ only in T,
+        # one repeats, and the last chunk is shorter than the others
+        points = [(0.5, 1.0, 0.0), (1.5, 1.0, 0.0), (1.0, 0.5, 10.0),
+                  (0.5, 1.5, 5.0), (0.5, 1.0, 0.0)]
+        configs = [cfg(scheme=scheme, gen_model=gen, M=6, T=T, R=R, snr_db=snr,
+                       frames=3001, warmup=17, seed=12)
+                   for scheme in ("TDMA", "CR-NOMA") for T, R, snr in points]
+        assert run_many(configs) == [run(c) for c in configs]
+
+    @pytest.mark.parametrize("field,value", [
+        ("M", 4), ("gen_model", "GAR"), ("frames", 2001),
+        ("warmup_frames", 11), ("seed", 6)])
+    def test_rejects_unshared_configs(self, field, value):
+        c = cfg(frames=2000)
+        with pytest.raises(ValueError, match="sharing"):
+            run_many([c, replace(c, **{field: value})])
+
+    def test_rejects_empty_list(self):
+        with pytest.raises(ValueError):
+            run_many([])
 
 
 class TestDeterminism:
