@@ -12,18 +12,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import analytic, oracle
 from .experiments import PRESETS, ExperimentSpec, preset_spec, run_experiment
-from .model import db_to_linear, epsilon_of
+from .model import GEN_MODELS, db_to_linear, epsilon_of
 from .validation import print_report, run_validation
 
 
-def _parse_list(text: str, cast):
-    return tuple(cast(tok) for tok in text.split(",") if tok.strip())
+def _list_of(cast):
+    return lambda text: tuple(cast(tok) for tok in text.split(",") if tok.strip())
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -41,48 +41,40 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_SPEC_PARSERS = {
-    "preset": str,
-    "schemes": lambda s: _parse_list(s, str),
-    "gen_model": str,
-    "M_values": lambda s: _parse_list(s, int),
-    "T_values": lambda s: _parse_list(s, float),
-    "R_values": lambda s: _parse_list(s, float),
-    "snr_db_values": lambda s: _parse_list(s, float),
-    "users": lambda s: _parse_list(s, int),
-    "outputs": str,
-    "frames": int,
-    "warmup": int,
-    "seed": int,
+# Each sweep-spec key once: its ``run`` flag and ``add_argument`` keywords.  A
+# config file names the key itself and parses it with the same ``type``
+# (default str).  ``outputs`` has no flag of its own: --analytic-only and
+# --sim-only set it.  ``preset`` selects the base spec instead of overriding.
+_SPEC_KEYS = {
+    "schemes": ("--schemes", {"type": _list_of(str), "metavar": "TDMA,CR-NOMA"}),
+    "gen_model": ("--gen-model", {"choices": GEN_MODELS}),
+    "M_values": ("--M", {"type": _list_of(int), "metavar": "4,8"}),
+    "T_values": ("--T", {"type": _list_of(float), "metavar": "0.5,1.5"}),
+    "R_values": ("--R", {"type": _list_of(float), "metavar": "0.5,1"}),
+    "snr_db_values": ("--snr-db", {"type": _list_of(float), "metavar": "0,5,10"}),
+    "users": ("--users", {"type": _list_of(int), "metavar": "1,5"}),
+    "outputs": (None, {}),
+    "frames": ("--frames", {"type": int}),
+    "warmup": ("--warmup", {"type": int}),
+    "seed": ("--seed", {"type": int}),
 }
 
 
 def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
-    if args.preset:
-        spec = preset_spec(args.preset)
-    else:
-        spec = ExperimentSpec()
+    """Precedence: flag > config file > preset > defaults."""
+    spec = preset_spec(args.preset) if args.preset else ExperimentSpec()
     if args.config:
         overrides = {}
         for key, raw in _load_config_file(args.config).items():
             if key == "preset":
                 spec = preset_spec(raw)
-                continue
-            if key not in _SPEC_PARSERS:
+            elif key in _SPEC_KEYS:
+                overrides[key] = _SPEC_KEYS[key][1].get("type", str)(raw)
+            else:
                 raise ValueError(f"unknown config key {key!r}")
-            overrides[key] = _SPEC_PARSERS[key](raw)
         spec = replace(spec, **overrides)
-    cli_overrides = {}
-    for key in ("schemes", "gen_model", "M_values", "T_values", "R_values",
-                "snr_db_values", "users", "frames", "warmup", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            cli_overrides[key] = value
-    if args.analytic_only:
-        cli_overrides["outputs"] = "analytic"
-    if args.sim_only:
-        cli_overrides["outputs"] = "sim"
-    return replace(spec, **cli_overrides)
+    flags = {key: getattr(args, key) for key in _SPEC_KEYS}
+    return replace(spec, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -139,26 +131,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--preset", choices=sorted(PRESETS), default=None)
     p_run.add_argument("--config", metavar="FILE", help="flat key=value config file")
     p_run.add_argument("--out", metavar="PATH", help="CSV output path (default stdout)")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--frames", type=int, default=None)
-    p_run.add_argument("--warmup", type=int, default=None)
-    p_run.add_argument("--analytic-only", action="store_true")
-    p_run.add_argument("--sim-only", action="store_true")
-    p_run.add_argument("--schemes", type=lambda s: _parse_list(s, str), default=None,
-                       metavar="TDMA,CR-NOMA")
-    p_run.add_argument("--gen-model", dest="gen_model", choices=("GAW", "GAR"),
-                       default=None)
-    p_run.add_argument("--M", dest="M_values", type=lambda s: _parse_list(s, int),
-                       default=None, metavar="4,8")
-    p_run.add_argument("--T", dest="T_values", type=lambda s: _parse_list(s, float),
-                       default=None, metavar="0.5,1.5")
-    p_run.add_argument("--R", dest="R_values", type=lambda s: _parse_list(s, float),
-                       default=None, metavar="0.5,1")
-    p_run.add_argument("--snr-db", dest="snr_db_values",
-                       type=lambda s: _parse_list(s, float), default=None,
-                       metavar="0,5,10")
-    p_run.add_argument("--users", type=lambda s: _parse_list(s, int), default=None,
-                       metavar="1,5")
+    for key, (flag, kwargs) in _SPEC_KEYS.items():
+        if flag:
+            p_run.add_argument(flag, dest=key, default=None, **kwargs)
+    only = p_run.add_mutually_exclusive_group()
+    only.add_argument("--analytic-only", dest="outputs", action="store_const",
+                      const="analytic")
+    only.add_argument("--sim-only", dest="outputs", action="store_const", const="sim")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="run the validation suite")

@@ -47,8 +47,9 @@ class ExperimentSpec:
     def validate(self) -> None:
         """Reject a bad spec before any point is simulated.  Every grid point
         must build a :class:`SystemConfig`, which holds the per-point rules
-        (even M, finite T, R and SNR, known scheme, frames > warmup).  Axes
-        must be non-empty and, like ``users``, free of duplicates."""
+        (even M, finite T, R and SNR, known scheme, frames > warmup,
+        seed >= 0).  Axes must be non-empty and, like ``users``, free of
+        duplicates; a non-empty ``users`` applies to GAR only."""
         for name in ("schemes", "M_values", "T_values", "R_values",
                      "snr_db_values", "users"):
             values = getattr(self, name)
@@ -56,8 +57,6 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must not be empty")
             if values and len(set(values)) < len(values):
                 raise ValueError(f"{name} has duplicate values: {values}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.outputs not in ("both", "analytic", "sim"):
             raise ValueError(f"outputs must be both/analytic/sim, got {self.outputs!r}")
         for scheme, M, T, R, snr in itertools.product(
@@ -66,12 +65,13 @@ class ExperimentSpec:
             P = db_to_linear(snr)
             SystemConfig(M=M, T=T, R=R, P=P, P_S=P, scheme=scheme,
                          gen_model=self.gen_model, frames=self.frames,
-                         warmup_frames=self.warmup)
-        if self.users is not None:
-            for M in self.M_values:
-                for u in self.users:
-                    if not 1 <= u <= M:
-                        raise ValueError(f"user {u} out of range for M={M}")
+                         warmup_frames=self.warmup, seed=self.seed)
+        if self.users and self.gen_model != "GAR":
+            raise ValueError("users apply to GAR only")
+        for M in self.M_values:
+            for u in self.users or ():
+                if not 1 <= u <= M:
+                    raise ValueError(f"user {u} out of range for M={M}")
 
 
 # Axis values mirror the reference figure setups; fig5 sweeps M at a small

@@ -29,7 +29,7 @@ class SystemConfig:
     gen_model -- "GAW" (generate-at-will) or "GAR" (generate-at-request)
     frames   -- simulation horizon in frames
     warmup_frames -- frames discarded before AoI accumulation
-    seed     -- 64-bit RNG seed
+    seed     -- non-negative RNG seed
     """
 
     M: int
@@ -61,6 +61,8 @@ class SystemConfig:
             raise ValueError(f"gen_model must be one of {GEN_MODELS}, got {self.gen_model!r}")
         if self.warmup_frames < 0 or self.frames <= self.warmup_frames:
             raise ValueError("need frames > warmup_frames >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def eps(self) -> float:

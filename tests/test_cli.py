@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import tempfile
 from dataclasses import replace
@@ -5,7 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from crnoma_aoi import experiments, simulator
+from crnoma_aoi import experiments, simulator, validation
 from crnoma_aoi.cli import main
 from crnoma_aoi.experiments import (CSV_HEADER, PRESETS, ExperimentSpec,
                                     preset_spec, run_experiment)
@@ -108,7 +110,8 @@ class TestSharedDraws:
 
     @pytest.mark.parametrize("gen_model", ["GAW", "GAR"])
     def test_rows_reproduced_by_run_at_seed_column(self, gen_model):
-        spec = self.spec(gen_model=gen_model)
+        spec = self.spec(gen_model=gen_model,
+                         users=(1, 2) if gen_model == "GAR" else None)
         for row in self.rows(run_experiment(spec)):
             P = db_to_linear(float(row["snr_db"]))
             report = run(SystemConfig(
@@ -208,7 +211,7 @@ class TestDegenerateSpecs:
         ["--T", "0.5,0.5"], ["--snr-db", "0,10,0"], ["--M", "4,8,4"],
         ["--schemes", "TDMA,TDMA"], ["--gen-model", "GAR", "--users", "1,1"],
         ["--M", ""], ["--T", ""], ["--R", ","], ["--snr-db", ""],
-        ["--seed", "-1"]])
+        ["--seed", "-1"], ["--gen-model", "GAW", "--users", "1,2"], ["--sim-only"]])
     def test_cli_exits_2(self, flags, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--analytic-only", *flags])
@@ -222,6 +225,19 @@ class TestValidate:
         checks = run_validation("fast")
         assert any(c.name == "renewal_cross_check" and c.passed for c in checks)
         assert list(tmp_path.iterdir()) == []
+
+    def test_same_checks_in_same_order_at_every_level(self):
+        # Every add() call is a top-level statement of run_validation, so
+        # each level runs each check once, in source order; the fast run
+        # then shows the names the full run prints.
+        func = ast.parse(inspect.getsource(validation.run_validation)).body[0]
+        calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "add"]
+        top_level = [stmt.value for stmt in func.body
+                     if isinstance(stmt, ast.Expr) and stmt.value in calls]
+        names = [call.args[0].value for call in top_level]
+        assert len(top_level) == len(calls) == len(set(names)) == 17
+        assert [c.name for c in run_validation("fast")] == names
 
 
 class TestCliMain:
@@ -252,6 +268,14 @@ class TestCliMain:
         assert main(["run", "--config", str(conf), "--T", "1.5"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 1 + 2  # both schemes at one SNR, one T
+
+    def test_empty_users_clears_preset_users(self, capsys):
+        args = ["run", "--preset", "fig6a", "--gen-model", "GAW", "--analytic-only"]
+        with pytest.raises(SystemExit):
+            main(args)
+        assert main([*args, "--users", ""]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert len(rows) == 18 and all(",overall," in row for row in rows)
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

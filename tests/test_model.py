@@ -130,3 +130,9 @@ class TestSystemConfig:
         kw[field] = bad
         with pytest.raises(ValueError, match="finite"):
             SystemConfig(**kw)
+
+    @pytest.mark.parametrize("seed", [-1, -(2 ** 63)])
+    def test_negative_seed_rejected(self, seed):
+        SystemConfig(M=4, T=1.0, R=1.0, P=1.0, P_S=1.0, seed=0)
+        with pytest.raises(ValueError, match="seed"):
+            SystemConfig(M=4, T=1.0, R=1.0, P=1.0, P_S=1.0, seed=seed)
