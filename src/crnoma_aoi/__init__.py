@@ -15,7 +15,7 @@ from .analytic import (Partition, crnoma_gar_overall, crnoma_gar_user_aoi,
 from .model import (SystemConfig, db_to_linear, draw_gains, epsilon_of,
                     primary_success, secondary_capped_success,
                     secondary_solo_success)
-from .simulator import AoiReport, run, simulate_events
+from .simulator import AoiReport, run
 
 __version__ = "0.1.0"
 
@@ -26,6 +26,6 @@ __all__ = [
     "epsilon_of", "gar_high_snr_gap", "gar_partition_user_m",
     "gar_partition_user_mprime", "gaw_high_snr_aoi", "gaw_partition",
     "primary_success", "run", "secondary_capped_success",
-    "secondary_solo_success", "simulate_events", "tau_of",
+    "secondary_solo_success", "tau_of",
     "tdma_gar_overall", "tdma_gar_user_aoi", "tdma_gaw_aoi",
 ]

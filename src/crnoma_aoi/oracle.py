@@ -4,8 +4,8 @@ The probability estimators classify protocol events directly from fresh
 channel draws (sharing only the success predicates with the simulator), so
 they are independent of the algebra in :mod:`crnoma_aoi.analytic`.  The
 renewal-reward recomputation integrates a delivery log interval by interval
-(Q_j = reset_age * y_j + y_j^2 / 2), independent of the simulator's
-vectorized trapezoid accumulation.
+in floating point (Q_j = reset_age * y_j + y_j^2 / 2), independent of the
+simulator's per-frame kernel, which sums integer slot origins.
 """
 
 from __future__ import annotations
@@ -93,23 +93,17 @@ def estimate_gar_partitions(eps: float, P: float, P_S: float, trials: int,
 
 
 def parse_event_log(path) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Read a simulator delivery log; returns user -> (times, reset_ages),
-    each sorted by time."""
-    per_user: dict[int, list[tuple[float, float]]] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            t_s, user_s, _slot_s, age_s = line.split()
-            per_user.setdefault(int(user_s), []).append((float(t_s), float(age_s)))
-    out = {}
-    for user, recs in per_user.items():
-        recs.sort()
-        times = np.array([r[0] for r in recs])
-        ages = np.array([r[1] for r in recs])
-        out[user] = (times, ages)
-    return out
+    """Read a simulator delivery log of ``time user slot reset_age`` lines, in
+    any order; returns user -> (times, reset_ages), each sorted by time."""
+    data = np.loadtxt(path, ndmin=2)
+    if data.shape[1] != 4:
+        raise ValueError(f"{path}: expected lines of 4 fields "
+                         "(time user slot reset_age)")
+    # lexsort's last key is the primary one: by user, then time, then age
+    times, users, _slots, ages = data[np.lexsort(data[:, [3, 0, 1]].T)].T
+    cuts = np.flatnonzero(np.diff(users)) + 1
+    return {int(u[0]): (t, a) for u, t, a in
+            zip(np.split(users, cuts), np.split(times, cuts), np.split(ages, cuts))}
 
 
 def renewal_aoi(events_by_user: dict[int, tuple[np.ndarray, np.ndarray]],
@@ -121,6 +115,8 @@ def renewal_aoi(events_by_user: dict[int, tuple[np.ndarray, np.ndarray]],
     intervals are clipped to [t_start, t_end].  Plain Python accumulation,
     deliberately separate from the simulator's vectorized integrator.
     """
+    if not (math.isfinite(t_start) and math.isfinite(t_end)):
+        raise ValueError(f"non-finite accumulation window [{t_start}, {t_end}]")
     if t_end <= t_start:
         raise ValueError("zero-length accumulation window")
     out = {}

@@ -21,8 +21,8 @@ integrated in fixed chunks and memory does not grow with the horizon.
 horizon and seed, and classifies them per (scheme, R, P, P_S); T only scales
 the integer areas.  :func:`run` is ``run_many`` of one config.
 
-:func:`simulate_events` returns the same deliveries as explicit per-user
-event arrays; it feeds the event log read by :mod:`crnoma_aoi.oracle`.
+:func:`write_event_log` writes the same deliveries, from the same draws and
+classification, as the text log that :mod:`crnoma_aoi.oracle` integrates.
 """
 
 from __future__ import annotations
@@ -37,18 +37,6 @@ from .model import (SystemConfig, draw_gains, primary_success,
 N_BATCHES = 20
 CHUNK_FRAMES = 1 << 15
 _NO_DELIVERY = np.iinfo(np.int64).min   # candidate origin of a silent slot
-
-
-@dataclass(frozen=True)
-class UserEvents:
-    """One user's delivery history: the j-th delivery happened at times[j]
-    (end of slot slots[j]) and reset the age to ages[j].  Index 0 is the
-    synthetic t=0 initialization (slot 0)."""
-
-    user_id: int
-    times: np.ndarray
-    ages: np.ndarray
-    slots: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -140,8 +128,9 @@ def _chunks(config: SystemConfig):
 
 def run(config: SystemConfig) -> AoiReport:
     """Simulate ``config`` and return the exact time-average AoI per user over
-    the post-warm-up window, with 3-sigma half-widths from batch means over
-    N_BATCHES blocks of whole frames.  Deterministic given (config, seed)."""
+    the post-warm-up window, with half-widths of 3 standard errors over
+    N_BATCHES = 20 batch means (about 99.3 % under t_19); each batch is a
+    block of whole frames.  Deterministic given (config, seed)."""
     return run_many([config])[0]
 
 
@@ -215,45 +204,25 @@ def _report(config: SystemConfig, areas: list[list[int]]) -> AoiReport:
     )
 
 
-def _merge_events(parts: list[tuple[np.ndarray, float, int]],
-                  user_id: int, init_age: float) -> UserEvents:
-    """Assemble sorted delivery arrays from (times, reset_age, slot) pieces,
-    prepending the synthetic t=0 event."""
-    times = [np.zeros(1)]
-    ages = [np.full(1, init_age)]
-    slots = [np.zeros(1, dtype=np.int64)]
-    for t, age, slot in parts:
-        times.append(t)
-        ages.append(np.full(t.shape, age))
-        slots.append(np.full(t.shape, slot, dtype=np.int64))
-    t = np.concatenate(times)
-    a = np.concatenate(ages)
-    s = np.concatenate(slots)
-    order = np.argsort(t, kind="stable")
-    return UserEvents(user_id=user_id, times=t[order], ages=a[order], slots=s[order])
-
-
-def simulate_events(config: SystemConfig) -> list[UserEvents]:
-    """Simulate the full horizon and return each user's delivery history,
-    from the same draws and classification as :func:`run`."""
+def write_event_log(config: SystemConfig, path) -> None:
+    """Simulate the full horizon from the same draws and classification as
+    :func:`run` and write one line per delivery, ``time user slot reset_age``.
+    Users follow in order 1..M, each with a synthetic t=0 record (slot 0)
+    and then its deliveries in time order."""
     M, h, T = config.M, config.M // 2, config.T
-    idx = np.arange(config.frames, dtype=np.float64)
-    events: list[UserEvents] = [None] * M  # type: ignore[list-item]
+    frame_start = np.arange(config.frames, dtype=np.float64)[:, None] * M
+    lines = [""] * M
     for m, rng in _pair_rngs(config):
         gains = draw_gains(rng, (config.frames, 4))
-        t_m = (idx * M + m) * T        # end of slot m, frame i
-        t_mp = (idx * M + m + h) * T   # end of slot m'
+        # ends of slots m and m' of every frame; row-major order is time order
+        ends = (frame_start + (m, m + h)) * T
         for u, (at_m, at_mp, resets) in enumerate(_pair_outcomes(config, m, gains)):
-            events[m - 1 + u * h] = _merge_events(
-                [(t_m[at_m], resets[0] * T, m), (t_mp[at_mp], resets[1] * T, m + h)],
-                m + u * h, resets[u] * T)
-    return events
-
-
-def write_event_log(events: list[UserEvents], path) -> None:
-    """Emit one line per delivery: ``time user slot reset_age`` (the synthetic
-    t=0 initialization records are included, with slot 0)."""
+            user = m + u * h
+            tails = [f" {user} {slot} {r * T:.17g}\n"
+                     for slot, r in zip((m, m + h), resets)]
+            frames, cols = np.nonzero(np.column_stack((at_m, at_mp)))
+            lines[user - 1] = f"0 {user} 0 {resets[u] * T:.17g}\n" + "".join(
+                ["%.17g%s" % (t, tails[c])
+                 for t, c in zip(ends[frames, cols].tolist(), cols.tolist())])
     with open(path, "w") as fh:
-        for ev in events:
-            for t, a, s in zip(ev.times, ev.ages, ev.slots):
-                fh.write(f"{t:.17g} {ev.user_id} {s} {a:.17g}\n")
+        fh.writelines(lines)

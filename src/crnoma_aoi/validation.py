@@ -24,7 +24,7 @@ import numpy as np
 from . import analytic, oracle
 from .experiments import ExperimentSpec, run_experiment
 from .model import SCHEMES, SystemConfig, db_to_linear, epsilon_of
-from .simulator import AoiReport, run, simulate_events, write_event_log
+from .simulator import AoiReport, run, write_event_log
 
 LEVELS = {
     "fast": {"frames": 20_000, "trials": 100_000, "sim_tol": 0.06, "gap_tol": 0.15,
@@ -160,7 +160,7 @@ def run_validation(level: str = "fast", seed: int = 7) -> list[CheckResult]:
                                    frames=max(lv["frames"] // 10, 2000),
                                    warmup_frames=50, seed=seed + 20)
                 log_path = os.path.join(log_dir, f"{scheme}-{gen_model}.log")
-                write_event_log(simulate_events(cfg), log_path)
+                write_event_log(cfg, log_path)
                 parsed = oracle.parse_event_log(log_path)
                 t0 = cfg.warmup_frames * cfg.frame_duration
                 t1 = cfg.frames * cfg.frame_duration

@@ -7,7 +7,7 @@ import pytest
 
 from crnoma_aoi import analytic, oracle, simulator
 from crnoma_aoi.model import SystemConfig, db_to_linear, draw_gains, epsilon_of
-from crnoma_aoi.simulator import run, run_many, simulate_events, write_event_log
+from crnoma_aoi.simulator import run, run_many, write_event_log
 
 EPS1 = 1.0
 
@@ -18,6 +18,16 @@ def cfg(scheme="TDMA", gen_model="GAW", M=8, T=1.5, R=1.0, snr_db=0.0,
     return SystemConfig(M=M, T=T, R=R, P=P, P_S=P, scheme=scheme,
                         gen_model=gen_model, frames=frames,
                         warmup_frames=warmup, seed=seed)
+
+
+def logged_events(c, tmp_path):
+    """Write ``c``'s event log; return user -> (times, slots, reset ages), the
+    columns of the user's lines in file order (t=0 record first)."""
+    log = tmp_path / "events.log"
+    write_event_log(c, log)
+    times, users, slots, ages = np.loadtxt(log, ndmin=2, unpack=True)
+    return {int(k): (times[users == k], slots[users == k], ages[users == k])
+            for k in np.unique(users)}
 
 
 class TestWindowedAverage:
@@ -86,7 +96,7 @@ class TestKernel:
         c = cfg(scheme=scheme, gen_model=gen, M=6, T=1.5, frames=3000,
                 warmup=17, seed=4)
         log = tmp_path / "events.log"
-        write_event_log(simulate_events(c), log)
+        write_event_log(c, log)
         expect = oracle.renewal_aoi(oracle.parse_event_log(log),
                                     c.frames * c.frame_duration,
                                     c.warmup_frames * c.frame_duration)
@@ -157,27 +167,26 @@ class TestDeterminism:
 
 
 class TestResetAges:
-    def test_gaw_resets_always_to_T(self):
+    def test_gaw_resets_always_to_T(self, tmp_path):
         for scheme in ("TDMA", "CR-NOMA"):
-            events = simulate_events(cfg(scheme=scheme, frames=2000))
-            for ev in events:
-                assert np.all(ev.ages == 1.5)
+            events = logged_events(cfg(scheme=scheme, frames=2000), tmp_path)
+            for _times, _slots, ages in events.values():
+                assert np.all(ages == 1.5)
 
-    def test_gar_resets_in_pair_slots(self):
+    def test_gar_resets_in_pair_slots(self, tmp_path):
         M, T = 8, 0.5
-        events = simulate_events(cfg(scheme="CR-NOMA", gen_model="GAR",
-                                     M=M, T=T, frames=2000))
-        for ev in events:
-            k = ev.user_id
+        events = logged_events(cfg(scheme="CR-NOMA", gen_model="GAR",
+                                   M=M, T=T, frames=2000), tmp_path)
+        for k, (_times, _slots, ages) in events.items():
             m = k if k <= M // 2 else k - M // 2
             allowed = {m * T, (m + M // 2) * T}
-            assert set(np.unique(ev.ages[1:])) <= allowed
+            assert set(np.unique(ages[1:])) <= allowed
 
-    def test_tdma_gar_resets_to_kT(self):
-        events = simulate_events(cfg(scheme="TDMA", gen_model="GAR",
-                                     M=8, T=0.5, frames=2000))
-        for ev in events:
-            assert np.all(ev.ages[1:] == ev.user_id * 0.5)
+    def test_tdma_gar_resets_to_kT(self, tmp_path):
+        events = logged_events(cfg(scheme="TDMA", gen_model="GAR",
+                                   M=8, T=0.5, frames=2000), tmp_path)
+        for k, (_times, _slots, ages) in events.items():
+            assert np.all(ages[1:] == k * 0.5)
 
 
 class TestErrorFreeChannel:
@@ -228,16 +237,16 @@ class TestAgainstClosedForms:
 
 
 class TestEventStatistics:
-    def test_crnoma_gaw_frequencies_match_partition(self):
+    def test_crnoma_gaw_frequencies_match_partition(self, tmp_path):
         c = cfg(scheme="CR-NOMA", gen_model="GAW", M=4, T=1.0, frames=100_000,
                 warmup=0, seed=9)
-        events = simulate_events(c)
+        events = logged_events(c, tmp_path)
         part = analytic.gaw_partition(c.eps, c.P, c.P_S)
         M, T = c.M, c.T
-        for ev in events[:2]:  # users 1 and 2 = the m-side of each pair
-            m = ev.user_id
-            slots = ev.slots[1:]
-            times = ev.times[1:]
+        for m in (1, 2):  # the m-side of each pair
+            times, slots, _ages = events[m]
+            slots = slots[1:]
+            times = times[1:]
             frames_first = np.count_nonzero(slots == m)
             # second-chance successes for user m happen in slot m' same frame
             frames_second = np.count_nonzero(slots == m + M // 2)
@@ -248,13 +257,15 @@ class TestEventStatistics:
             assert abs(frames_second / n - part.p_second) < sigma2
             assert np.all(times > 0)
 
-    def test_crnoma_gaw_renewal_interval_support(self):
+    def test_crnoma_gaw_renewal_interval_support(self, tmp_path):
         c = cfg(scheme="CR-NOMA", gen_model="GAW", M=4, T=1.0, frames=20_000,
                 warmup=0, seed=10)
-        events = simulate_events(c)
+        events = logged_events(c, tmp_path)
         MT = c.frame_duration
-        for ev in events:
-            gaps = np.diff(ev.times[1:])  # skip the synthetic t=0 record
+        for times, _slots, _ages in events.values():
+            gaps = np.diff(times[1:])  # skip the synthetic t=0 record
+            # the writer emits each user's deliveries in time order
+            assert np.all(gaps > 0)
             # allowed values: x*MT and x*MT +- MT/2 for integer x >= 0
             scaled = gaps / (MT / 2.0)
             assert np.allclose(scaled, np.round(scaled), atol=1e-9)
