@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -96,6 +97,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_probs(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    for flag, value in (("--R", args.R), ("--snr-db", args.snr_db), ("--ps-db", args.ps_db)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     eps = epsilon_of(args.R)
     P = db_to_linear(args.snr_db)
     P_S = db_to_linear(args.ps_db) if args.ps_db is not None else P

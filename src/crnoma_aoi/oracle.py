@@ -6,6 +6,10 @@ they are independent of the algebra in :mod:`crnoma_aoi.analytic`.  The
 renewal-reward recomputation integrates a delivery log interval by interval
 in floating point (Q_j = reset_age * y_j + y_j^2 / 2), independent of the
 simulator's per-frame kernel, which sums integer slot origins.
+
+Each estimator draws its k gains per trial in one ``standard_exponential((k,
+trials))`` call (rows in the order of k separate draws, the same stream) and
+classifies them in column blocks of ``_BLOCK`` trials; both-fail is the rest.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import numpy as np
 
 from .model import (primary_success, secondary_capped_success,
                     secondary_solo_success)
+
+_BLOCK = 1 << 16   # trials classified at a time; temporaries stay cache-sized
 
 
 @dataclass(frozen=True)
@@ -38,6 +44,12 @@ class EstimateWithCI:
         return abs(self.estimate - value) <= self.half_width
 
 
+def _partition(trials: int, first: int, second: int):
+    """(p0, p_first, p_second) from disjoint first- and second-slot counts."""
+    return tuple(EstimateWithCI.from_count(int(hits), trials)
+                 for hits in (trials - first - second, first, second))
+
+
 def estimate_gaw_partition(eps: float, P: float, P_S: float, trials: int,
                            rng: np.random.Generator):
     """Empirical frame-outcome partition for a user under CR-NOMA with GAW.
@@ -47,15 +59,15 @@ def estimate_gaw_partition(eps: float, P: float, P_S: float, trials: int,
     slot, else success in the partner's slot as capped secondary, else both
     fail.  Returns (p0, p_first, p_second) estimates.
     """
-    g_own = rng.exponential(size=trials)        # primary attempt, own slot
-    g_retry = rng.exponential(size=trials)      # secondary attempt, partner slot
-    g_partner = rng.exponential(size=trials)    # partner's primary, its slot
-    first = primary_success(P, g_own, eps)
-    second = ~first & secondary_capped_success(P_S, g_retry, P, g_partner, eps)
-    both_fail = ~first & ~second
-    return (EstimateWithCI.from_count(int(both_fail.sum()), trials),
-            EstimateWithCI.from_count(int(first.sum()), trials),
-            EstimateWithCI.from_count(int(second.sum()), trials))
+    gains = rng.standard_exponential((3, trials))
+    first = second = 0
+    for lo in range(0, trials, _BLOCK):
+        g_own, g_retry, g_partner = gains[:, lo:lo + _BLOCK]
+        s1 = primary_success(P, g_own, eps)
+        first += np.count_nonzero(s1)
+        second += np.count_nonzero(
+            ~s1 & secondary_capped_success(P_S, g_retry, P, g_partner, eps))
+    return _partition(trials, first, second)
 
 
 def estimate_gar_partitions(eps: float, P: float, P_S: float, trials: int,
@@ -64,32 +76,23 @@ def estimate_gar_partitions(eps: float, P: float, P_S: float, trials: int,
     CR-NOMA with GAR, classified jointly per frame (including the branch
     where the partner's first-slot success leaves user m interference-free
     in slot m').  Returns two triples: (user m, user m')."""
-    g_m_m = rng.exponential(size=trials)     # U_m in slot m
-    g_mp_m = rng.exponential(size=trials)    # U_m' in slot m
-    g_m_mp = rng.exponential(size=trials)    # U_m in slot m'
-    g_mp_mp = rng.exponential(size=trials)   # U_m' in slot m'
-
-    sm1 = primary_success(P, g_m_m, eps)
-    sp1 = secondary_capped_success(P_S, g_mp_m, P, g_m_m, eps)
-    sp2 = primary_success(P, g_mp_mp, eps)
-    sm2 = np.where(sp1,
-                   secondary_solo_success(P_S, g_m_mp, eps),
-                   secondary_capped_success(P_S, g_m_mp, P, g_mp_mp, eps))
-
-    m_first = sm1
-    m_second = ~sm1 & sm2
-    m_fail = ~m_first & ~m_second
-    p_first = sp1
-    p_second = ~sp1 & sp2
-    p_fail = ~p_first & ~p_second
-
-    user_m = (EstimateWithCI.from_count(int(m_fail.sum()), trials),
-              EstimateWithCI.from_count(int(m_first.sum()), trials),
-              EstimateWithCI.from_count(int(m_second.sum()), trials))
-    user_mp = (EstimateWithCI.from_count(int(p_fail.sum()), trials),
-               EstimateWithCI.from_count(int(p_first.sum()), trials),
-               EstimateWithCI.from_count(int(p_second.sum()), trials))
-    return user_m, user_mp
+    # rows: U_m in slot m, U_m' in slot m, U_m in slot m', U_m' in slot m'
+    gains = rng.standard_exponential((4, trials))
+    m_first = m_second = p_first = p_second = 0
+    for lo in range(0, trials, _BLOCK):
+        g_m_m, g_mp_m, g_m_mp, g_mp_mp = gains[:, lo:lo + _BLOCK]
+        sm1 = primary_success(P, g_m_m, eps)
+        sp1 = secondary_capped_success(P_S, g_mp_m, P, g_m_m, eps)
+        sp2 = primary_success(P, g_mp_mp, eps)
+        sm2 = np.where(sp1,
+                       secondary_solo_success(P_S, g_m_mp, eps),
+                       secondary_capped_success(P_S, g_m_mp, P, g_mp_mp, eps))
+        m_first += np.count_nonzero(sm1)
+        m_second += np.count_nonzero(~sm1 & sm2)
+        p_first += np.count_nonzero(sp1)
+        p_second += np.count_nonzero(~sp1 & sp2)
+    return (_partition(trials, m_first, m_second),
+            _partition(trials, p_first, p_second))
 
 
 def parse_event_log(path) -> dict[int, tuple[np.ndarray, np.ndarray]]:

@@ -208,21 +208,26 @@ def write_event_log(config: SystemConfig, path) -> None:
     """Simulate the full horizon from the same draws and classification as
     :func:`run` and write one line per delivery, ``time user slot reset_age``.
     Users follow in order 1..M, each with a synthetic t=0 record (slot 0)
-    and then its deliveries in time order."""
+    and then its deliveries in time order.  Frames are drawn and written in
+    CHUNK_FRAMES blocks, so memory does not grow with the horizon."""
     M, h, T = config.M, config.M // 2, config.T
-    frame_start = np.arange(config.frames, dtype=np.float64)[:, None] * M
-    lines = [""] * M
-    for m, rng in _pair_rngs(config):
-        gains = draw_gains(rng, (config.frames, 4))
-        # ends of slots m and m' of every frame; row-major order is time order
-        ends = (frame_start + (m, m + h)) * T
-        for u, (at_m, at_mp, resets) in enumerate(_pair_outcomes(config, m, gains)):
-            user = m + u * h
-            tails = [f" {user} {slot} {r * T:.17g}\n"
-                     for slot, r in zip((m, m + h), resets)]
-            frames, cols = np.nonzero(np.column_stack((at_m, at_mp)))
-            lines[user - 1] = f"0 {user} 0 {resets[u] * T:.17g}\n" + "".join(
-                ["%.17g%s" % (t, tails[c])
-                 for t, c in zip(ends[frames, cols].tolist(), cols.tolist())])
     with open(path, "w") as fh:
-        fh.writelines(lines)
+        # users 1..M/2, then M/2+1..M, each half from freshly derived generators
+        for u in (0, 1):
+            for m, rng in _pair_rngs(config):
+                user, pending = m + u * h, False
+                for start in range(0, config.frames, CHUNK_FRAMES):
+                    n = min(CHUNK_FRAMES, config.frames - start)
+                    outcomes = _pair_outcomes(config, m, draw_gains(rng, (n, 4)), pending)
+                    pending = not outcomes[1][1][-1]
+                    at_m, at_mp, resets = outcomes[u]
+                    if start == 0:
+                        fh.write(f"0 {user} 0 {resets[u] * T:.17g}\n")
+                    tails = [f" {user} {slot} {r * T:.17g}\n"
+                             for slot, r in zip((m, m + h), resets)]
+                    # ends of slots m and m' of every frame; row-major order is time order
+                    frame_start = np.arange(start, start + n, dtype=np.float64)[:, None] * M
+                    ends = (frame_start + (m, m + h)) * T
+                    frames, cols = np.nonzero(np.column_stack((at_m, at_mp)))
+                    fh.write("".join(["%.17g%s" % (t, tails[c]) for t, c in
+                                      zip(ends[frames, cols].tolist(), cols.tolist())]))

@@ -1,13 +1,18 @@
 import ast
 import inspect
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import threading
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from crnoma_aoi import experiments, simulator, validation
+import crnoma_aoi
+from crnoma_aoi import experiments, oracle, simulator, validation
 from crnoma_aoi.cli import main
 from crnoma_aoi.experiments import (CSV_HEADER, PRESETS, ExperimentSpec,
                                     preset_spec, run_experiment)
@@ -239,6 +244,41 @@ class TestValidate:
         assert len(top_level) == len(calls) == len(set(names)) == 17
         assert [c.name for c in run_validation("fast")] == names
 
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_grid_worker_joined(self, fail, monkeypatch):
+        # the probability grid runs on a worker thread: its error reaches the
+        # caller, and the thread is gone when run_validation returns or raises
+        def broken(*args):
+            raise RuntimeError("grid failed")
+
+        if fail:
+            monkeypatch.setattr(oracle, "estimate_gar_partitions", broken)
+        before = threading.active_count()
+        if fail:
+            with pytest.raises(RuntimeError, match="grid failed"):
+                run_validation("fast")
+        else:
+            assert all(c.passed for c in run_validation("fast"))
+        assert threading.active_count() == before
+
+    def test_negative_seed_rejected_before_worker(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(validation, "_probability_grid",
+                            lambda *args: started.append(args))
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="seed"):
+            run_validation("full", -1)
+        assert started == [] and threading.active_count() == before
+
+    def test_cli_import_loads_no_thread_pool(self):
+        src = os.path.dirname(os.path.dirname(crnoma_aoi.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", "import crnoma_aoi.cli, sys; "
+             "print('concurrent.futures' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, check=True, timeout=60)
+        assert out.stdout == "False\n"
+
 
 class TestCliMain:
     def test_run_writes_csv(self, tmp_path, capsys):
@@ -306,3 +346,14 @@ class TestCliMain:
             main(["probs", "--trials", trials])
         assert exc.value.code == 2
         assert "error: --trials must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--R", "nan"), ("--R", "inf"), ("--snr-db", "inf"), ("--snr-db", "nan"),
+        ("--snr-db", "-inf"), ("--ps-db", "nan"), ("--ps-db", "inf")])
+    def test_probs_rejects_non_finite(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["probs", "--trials", "100", f"{flag}={value}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {flag} must be finite" in captured.err

@@ -71,6 +71,27 @@ class TestGarEstimators:
             assert e.covers(value)
 
 
+class TestPinnedCounts:
+    # Hit counts of the one-array-per-gain estimators (numpy 2.4.6): the
+    # blocked kernel must reproduce them bit for bit.  100 003 trials leave a
+    # ragged last block; GAW draws before GAR from the same generator.
+    COUNTS = {
+        (1.0, 1.0): ((51514, 36728, 11761), (48474, 36785, 14744),
+                     (51402, 18383, 30218)),
+        (2.0, 0.5): ((38345, 60604, 1054), (38045, 60621, 1337),
+                     (38443, 2595, 58965)),
+    }
+
+    @pytest.mark.parametrize("P,P_S", sorted(COUNTS))
+    def test_hit_counts(self, P, P_S):
+        rng = np.random.default_rng(11)
+        gaw = oracle.estimate_gaw_partition(EPS1, P, P_S, 100_003, rng)
+        gm, gp = oracle.estimate_gar_partitions(EPS1, P, P_S, 100_003, rng)
+        counts = tuple(tuple(round(e.estimate * e.trials) for e in est)
+                       for est in (gaw, gm, gp))
+        assert counts == self.COUNTS[(P, P_S)]
+
+
 class TestRenewalAoi:
     def test_uniform_log(self):
         M, T = 8, 1.5

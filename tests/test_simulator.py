@@ -128,6 +128,21 @@ class TestKernel:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
 
+    def test_event_log_memory_bounded(self, tmp_path):
+        # the log is drawn and written in chunks: a 4x longer horizon must
+        # not raise the peak (held in full, it grew about 4x); at -20 dB few
+        # frames deliver, which keeps the traced run short
+        peaks = []
+        for frames in (100_000, 400_000):
+            c = cfg(scheme="CR-NOMA", M=4, snr_db=-20.0, frames=frames)
+            tracemalloc.start()
+            try:
+                write_event_log(c, tmp_path / "events.log")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
+
 
 class TestRunMany:
     @pytest.mark.parametrize("gen", ["GAW", "GAR"])
