@@ -17,10 +17,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import analytic, oracle
 from .experiments import PRESETS, ExperimentSpec, preset_spec, run_experiment
 from .model import GEN_MODELS, db_to_linear, epsilon_of
-from .validation import print_report, run_validation
+from .validation import partition_table, print_report, run_validation
 
 
 def _list_of(cast):
@@ -103,19 +102,11 @@ def _cmd_probs(args: argparse.Namespace) -> int:
     eps = epsilon_of(args.R)
     P = db_to_linear(args.snr_db)
     P_S = db_to_linear(args.ps_db) if args.ps_db is not None else P
-    rng = np.random.default_rng(args.seed)
-    gaw = analytic.gaw_partition(eps, P, P_S)
-    gm = analytic.gar_partition_user_m(eps, P, P_S)
-    gp = analytic.gar_partition_user_mprime(eps, P, P_S)
-    est_gaw = oracle.estimate_gaw_partition(eps, P, P_S, args.trials, rng)
-    est_gm, est_gp = oracle.estimate_gar_partitions(eps, P, P_S, args.trials, rng)
+    rows = partition_table(eps, P, P_S, args.trials, np.random.default_rng(args.seed))
     print(f"eps={eps:.6g} P={P:.6g} P_S={P_S:.6g} trials={args.trials}")
     print(f"{'probability':<18}{'closed form':>14}{'monte carlo':>14}{'3sigma':>10}")
-    names = [("gaw", gaw, est_gaw), ("gar_user_m", gm, est_gm),
-             ("gar_user_mprime", gp, est_gp)]
-    labels = ("p0", "p_first", "p_second")
-    for group, part, est in names:
-        for label, value, e in zip(labels, part.astuple(), est):
+    for group, part, est in rows:
+        for label, value, e in zip(("p0", "p_first", "p_second"), part.astuple(), est):
             flag = "" if e.covers(value) else "   MISMATCH"
             print(f"{group}.{label:<12}{value:>14.6f}{e.estimate:>14.6f}"
                   f"{e.half_width:>10.6f}{flag}")

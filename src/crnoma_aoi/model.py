@@ -51,8 +51,7 @@ class SystemConfig:
             raise ValueError(f"M must be an even integer >= 2, got {self.M}")
         if self.T <= 0:
             raise ValueError(f"T must be > 0, got {self.T}")
-        if self.R < 0:
-            raise ValueError(f"R must be >= 0, got {self.R}")
+        epsilon_of(self.R)   # R >= 0 and 2^R - 1 within float range
         if self.P <= 0 or self.P_S <= 0:
             raise ValueError("P and P_S must be > 0 (linear SNR)")
         if self.scheme not in SCHEMES:
@@ -74,16 +73,30 @@ class SystemConfig:
         return self.M * self.T
 
 
+def _power(base: float, x: float) -> float:
+    """base ** x, with inf where the float power overflows."""
+    try:
+        return base ** x
+    except OverflowError:
+        return math.inf
+
+
 def epsilon_of(R: float) -> float:
     """SINR threshold equivalent to delivering R bits/s/Hz in one slot: 2^R - 1."""
     if R < 0:
         raise ValueError(f"R must be >= 0, got {R}")
-    return 2.0 ** R - 1.0
+    eps = _power(2.0, R) - 1.0
+    if not math.isfinite(eps):
+        raise ValueError(f"R={R} gives a SINR threshold 2^R - 1 outside float range")
+    return eps
 
 
 def db_to_linear(x_db: float) -> float:
-    """Convert a dB value to a linear power ratio."""
-    return 10.0 ** (x_db / 10.0)
+    """Convert a dB value to a linear power ratio (a finite positive float)."""
+    x = _power(10.0, x_db / 10.0)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{x_db} dB is not a finite positive linear power ratio")
+    return x
 
 
 def draw_gains(rng: np.random.Generator, size) -> np.ndarray:

@@ -21,8 +21,8 @@ integrated in fixed chunks and memory does not grow with the horizon.
 horizon and seed, and classifies them per (scheme, R, P, P_S); T only scales
 the integer areas.  :func:`run` is ``run_many`` of one config.
 
-:func:`write_event_log` writes the same deliveries, from the same draws and
-classification, as the text log that :mod:`crnoma_aoi.oracle` integrates.
+:func:`write_event_log` writes the same deliveries in one pass, from the same
+draws and classification, as the text log :mod:`crnoma_aoi.oracle` integrates.
 """
 
 from __future__ import annotations
@@ -206,28 +206,28 @@ def _report(config: SystemConfig, areas: list[list[int]]) -> AoiReport:
 
 def write_event_log(config: SystemConfig, path) -> None:
     """Simulate the full horizon from the same draws and classification as
-    :func:`run` and write one line per delivery, ``time user slot reset_age``.
-    Users follow in order 1..M, each with a synthetic t=0 record (slot 0)
-    and then its deliveries in time order.  Frames are drawn and written in
-    CHUNK_FRAMES blocks, so memory does not grow with the horizon."""
+    :func:`run` and write one line per delivery, ``time user slot reset_age``,
+    in one pass: each pair's CHUNK_FRAMES block is drawn and classified once
+    and both users' lines written, so users interleave by pair and block and
+    memory does not grow with the horizon.  Each user's synthetic t=0 record
+    (slot 0) comes first, then its deliveries in time order."""
     M, h, T = config.M, config.M // 2, config.T
     with open(path, "w") as fh:
-        # users 1..M/2, then M/2+1..M, each half from freshly derived generators
-        for u in (0, 1):
-            for m, rng in _pair_rngs(config):
-                user, pending = m + u * h, False
-                for start in range(0, config.frames, CHUNK_FRAMES):
-                    n = min(CHUNK_FRAMES, config.frames - start)
-                    outcomes = _pair_outcomes(config, m, draw_gains(rng, (n, 4)), pending)
-                    pending = not outcomes[1][1][-1]
-                    at_m, at_mp, resets = outcomes[u]
+        for m, rng in _pair_rngs(config):
+            pending = False
+            for start in range(0, config.frames, CHUNK_FRAMES):
+                n = min(CHUNK_FRAMES, config.frames - start)
+                outcomes = _pair_outcomes(config, m, draw_gains(rng, (n, 4)), pending)
+                pending = not outcomes[1][1][-1]
+                # ends of slots m and m' of every frame; row-major order is time order
+                frame_start = np.arange(start, start + n, dtype=np.float64)[:, None] * M
+                ends = (frame_start + (m, m + h)) * T
+                for u, (at_m, at_mp, resets) in enumerate(outcomes):
+                    user = m + u * h
                     if start == 0:
                         fh.write(f"0 {user} 0 {resets[u] * T:.17g}\n")
                     tails = [f" {user} {slot} {r * T:.17g}\n"
                              for slot, r in zip((m, m + h), resets)]
-                    # ends of slots m and m' of every frame; row-major order is time order
-                    frame_start = np.arange(start, start + n, dtype=np.float64)[:, None] * M
-                    ends = (frame_start + (m, m + h)) * T
                     frames, cols = np.nonzero(np.column_stack((at_m, at_mp)))
                     fh.write("".join(["%.17g%s" % (t, tails[c]) for t, c in
                                       zip(ends[frames, cols].tolist(), cols.tolist())]))

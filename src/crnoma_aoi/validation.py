@@ -55,6 +55,19 @@ def _sim(lv: dict, scheme: str, gen_model: str, T: float, P: float,
                             warmup_frames=100, seed=seed))
 
 
+def partition_table(eps: float, P: float, P_S: float, trials: int,
+                    rng: np.random.Generator):
+    """Closed-form frame-outcome partitions beside their Monte Carlo estimates
+    at one (eps, P, P_S): rows ``(name, Partition, (p0, p_first, p_second)
+    estimates)`` for ``gaw``, ``gar_user_m`` and ``gar_user_mprime``.  The
+    GAW estimator draws from ``rng`` first, then the joint GAR one."""
+    est_gaw = oracle.estimate_gaw_partition(eps, P, P_S, trials, rng)
+    est_gm, est_gp = oracle.estimate_gar_partitions(eps, P, P_S, trials, rng)
+    return [("gaw", analytic.gaw_partition(eps, P, P_S), est_gaw),
+            ("gar_user_m", analytic.gar_partition_user_m(eps, P, P_S), est_gm),
+            ("gar_user_mprime", analytic.gar_partition_user_mprime(eps, P, P_S), est_gp)]
+
+
 def _probability_grid(lv: dict, seed: int) -> tuple[bool, bool, float]:
     """Probability oracle over the level's (eps, P=P_S) grid: (partitions sum
     to 1, estimates cover them, worst |err|/3sigma)."""
@@ -66,16 +79,9 @@ def _probability_grid(lv: dict, seed: int) -> tuple[bool, bool, float]:
     prob_ok = True
     sum_ok = True
     for R, snr in zip(rs, snrs):
-        eps = epsilon_of(float(R))
         P = db_to_linear(float(snr))
-        gaw = analytic.gaw_partition(eps, P, P)
-        gm = analytic.gar_partition_user_m(eps, P, P)
-        gp = analytic.gar_partition_user_mprime(eps, P, P)
-        for part in (gaw, gm, gp):
+        for _, part, est in partition_table(epsilon_of(float(R)), P, P, lv["trials"], rng):
             sum_ok &= abs(part.total() - 1.0) < 1e-12
-        est_gaw = oracle.estimate_gaw_partition(eps, P, P, lv["trials"], rng)
-        est_gm, est_gp = oracle.estimate_gar_partitions(eps, P, P, lv["trials"], rng)
-        for part, est in ((gaw, est_gaw), (gm, est_gm), (gp, est_gp)):
             for value, e in zip(part.astuple(), est):
                 prob_ok &= e.covers(value)
                 if e.half_width > 0:

@@ -216,7 +216,9 @@ class TestDegenerateSpecs:
         ["--T", "0.5,0.5"], ["--snr-db", "0,10,0"], ["--M", "4,8,4"],
         ["--schemes", "TDMA,TDMA"], ["--gen-model", "GAR", "--users", "1,1"],
         ["--M", ""], ["--T", ""], ["--R", ","], ["--snr-db", ""],
-        ["--seed", "-1"], ["--gen-model", "GAW", "--users", "1,2"], ["--sim-only"]])
+        ["--seed", "-1"], ["--gen-model", "GAW", "--users", "1,2"], ["--sim-only"],
+        ["--R", "2000", "--M", "4", "--T", "1", "--snr-db", "0"],
+        ["--M", "4", "--T", "1", "--snr-db", "4000"]])
     def test_cli_exits_2(self, flags, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--analytic-only", *flags])
@@ -357,3 +359,14 @@ class TestCliMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: {flag} must be finite" in captured.err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--snr-db", "4000"), ("--R", "2000"), ("--snr-db", "-4000")])
+    def test_probs_rejects_out_of_float_range(self, flag, value, capsys):
+        # 2^R or 10^(dB/10) overflows, or the power underflows to 0
+        with pytest.raises(SystemExit) as exc:
+            main(["probs", "--trials", "100", f"{flag}={value}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and value in captured.err

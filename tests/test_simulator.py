@@ -143,6 +143,25 @@ class TestKernel:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
 
+    def test_event_log_draws_once_per_pair_and_block(self, tmp_path, monkeypatch):
+        # one pass: each of the 2 pairs draws its 5 blocks of at most 7
+        # frames once for both users, and the lines match an unchunked log
+        c = cfg(scheme="CR-NOMA", M=4, frames=30, warmup=0)
+        write_event_log(c, tmp_path / "whole.log")
+        calls = []
+
+        def counting(rng, size):
+            calls.append(size)
+            return draw(rng, size)
+
+        draw = simulator.draw_gains
+        monkeypatch.setattr(simulator, "CHUNK_FRAMES", 7)
+        monkeypatch.setattr(simulator, "draw_gains", counting)
+        write_event_log(c, tmp_path / "chunked.log")
+        assert len(calls) == 2 * 5
+        assert (sorted((tmp_path / "chunked.log").read_text().splitlines())
+                == sorted((tmp_path / "whole.log").read_text().splitlines()))
+
 
 class TestRunMany:
     @pytest.mark.parametrize("gen", ["GAW", "GAR"])
