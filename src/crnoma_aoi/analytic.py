@@ -171,17 +171,21 @@ def closed_form_aoi(scheme: str, gen_model: str, M: int, T: float, eps: float,
                     P: float, P_S: float, user: int | None = None) -> float:
     """Closed-form average AoI of one scheme/model point: the network average,
     or user ``user``'s (1..M) under GAR.  Under GAW every user has the
-    network average."""
+    network average.  A closed form whose ``math.exp`` overflows has an AoI
+    beyond any float, so it is returned as ``math.inf``."""
     tdma = scheme == "TDMA"
-    if gen_model == "GAW":
-        return tdma_gaw_aoi(M, T, eps, P) if tdma else crnoma_gaw_aoi(M, T, eps, P, P_S)
-    if user is None:
-        return (tdma_gar_overall(M, T, eps, P) if tdma
-                else crnoma_gar_overall(M, T, eps, P, P_S))
-    if tdma:
-        return tdma_gar_user_aoi(user, M, T, eps, P)
-    m = user if user <= M // 2 else user - M // 2
-    return crnoma_gar_user_aoi(user, m, M, T, eps, P, P_S)
+    try:
+        if gen_model == "GAW":
+            return tdma_gaw_aoi(M, T, eps, P) if tdma else crnoma_gaw_aoi(M, T, eps, P, P_S)
+        if user is None:
+            return (tdma_gar_overall(M, T, eps, P) if tdma
+                    else crnoma_gar_overall(M, T, eps, P, P_S))
+        if tdma:
+            return tdma_gar_user_aoi(user, M, T, eps, P)
+        m = user if user <= M // 2 else user - M // 2
+        return crnoma_gar_user_aoi(user, m, M, T, eps, P, P_S)
+    except OverflowError:
+        return math.inf
 
 
 def gar_high_snr_gap(M: int, T: float, eps: float) -> float:

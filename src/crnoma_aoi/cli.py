@@ -96,6 +96,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_probs(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     for flag, value in (("--R", args.R), ("--snr-db", args.snr_db), ("--ps-db", args.ps_db)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")

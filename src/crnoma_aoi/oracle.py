@@ -3,9 +3,10 @@
 The probability estimators classify protocol events directly from fresh
 channel draws (sharing only the success predicates with the simulator), so
 they are independent of the algebra in :mod:`crnoma_aoi.analytic`.  The
-renewal-reward recomputation integrates a delivery log interval by interval
-in floating point (Q_j = reset_age * y_j + y_j^2 / 2), independent of the
-simulator's per-frame kernel, which sums integer slot origins.
+renewal-reward recomputation integrates each user's deliveries (times and
+reset ages, as :func:`crnoma_aoi.simulator.deliveries` returns them) interval
+by interval in floating point (Q_j = reset_age * y_j + y_j^2 / 2), independent
+of the simulator's per-frame kernel, which sums integer slot origins.
 
 Each estimator draws its k gains per trial in one ``standard_exponential((k,
 trials))`` call (rows in the order of k separate draws, the same stream) and
@@ -93,20 +94,6 @@ def estimate_gar_partitions(eps: float, P: float, P_S: float, trials: int,
         p_second += np.count_nonzero(~sp1 & sp2)
     return (_partition(trials, m_first, m_second),
             _partition(trials, p_first, p_second))
-
-
-def parse_event_log(path) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Read a simulator delivery log of ``time user slot reset_age`` lines, in
-    any order; returns user -> (times, reset_ages), each sorted by time."""
-    data = np.loadtxt(path, ndmin=2)
-    if data.shape[1] != 4:
-        raise ValueError(f"{path}: expected lines of 4 fields "
-                         "(time user slot reset_age)")
-    # lexsort's last key is the primary one: by user, then time, then age
-    times, users, _slots, ages = data[np.lexsort(data[:, [3, 0, 1]].T)].T
-    cuts = np.flatnonzero(np.diff(users)) + 1
-    return {int(u[0]): (t, a) for u, t, a in
-            zip(np.split(users, cuts), np.split(times, cuts), np.split(ages, cuts))}
 
 
 def renewal_aoi(events_by_user: dict[int, tuple[np.ndarray, np.ndarray]],

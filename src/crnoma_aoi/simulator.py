@@ -21,8 +21,9 @@ integrated in fixed chunks and memory does not grow with the horizon.
 horizon and seed, and classifies them per (scheme, R, P, P_S); T only scales
 the integer areas.  :func:`run` is ``run_many`` of one config.
 
-:func:`write_event_log` writes the same deliveries in one pass, from the same
-draws and classification, as the text log :mod:`crnoma_aoi.oracle` integrates.
+:func:`deliveries` returns the same deliveries as arrays, per user, from the
+same draws and classification, for :func:`crnoma_aoi.oracle.renewal_aoi` to
+integrate independently.
 """
 
 from __future__ import annotations
@@ -47,12 +48,9 @@ class AoiReport:
     overall_aoi: float
     per_user_halfwidth: list[float]
     overall_halfwidth: float
-    frames_used: int
-    seed: int
 
 
-def _pair_outcomes(cfg: SystemConfig, m: int, gains: np.ndarray,
-                   pending: bool = False):
+def _pair_outcomes(cfg: SystemConfig, m: int, gains: np.ndarray, pending: bool):
     """Classify consecutive frames for the pair (U_m, U_m').
 
     ``gains`` has shape (frames, 4): columns are U_m and U_m' in slot m, then
@@ -199,35 +197,33 @@ def _report(config: SystemConfig, areas: list[list[int]]) -> AoiReport:
         overall_aoi=float(np.mean(per_user)),
         per_user_halfwidth=(3.0 * se).tolist(),
         overall_halfwidth=3.0 * overall_se,
-        frames_used=n_used,
-        seed=config.seed,
     )
 
 
-def write_event_log(config: SystemConfig, path) -> None:
+def deliveries(config: SystemConfig) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Simulate the full horizon from the same draws and classification as
-    :func:`run` and write one line per delivery, ``time user slot reset_age``,
-    in one pass: each pair's CHUNK_FRAMES block is drawn and classified once
-    and both users' lines written, so users interleave by pair and block and
-    memory does not grow with the horizon.  Each user's synthetic t=0 record
-    (slot 0) comes first, then its deliveries in time order."""
+    :func:`run` and return user -> (delivery times, reset ages), users in
+    ascending order: each user's synthetic t=0 record at the reset age of its
+    own slot, then its deliveries in time order.  Each pair's CHUNK_FRAMES
+    block is drawn and classified once for both users."""
     M, h, T = config.M, config.M // 2, config.T
-    with open(path, "w") as fh:
-        for m, rng in _pair_rngs(config):
-            pending = False
-            for start in range(0, config.frames, CHUNK_FRAMES):
-                n = min(CHUNK_FRAMES, config.frames - start)
-                outcomes = _pair_outcomes(config, m, draw_gains(rng, (n, 4)), pending)
-                pending = not outcomes[1][1][-1]
-                # ends of slots m and m' of every frame; row-major order is time order
-                frame_start = np.arange(start, start + n, dtype=np.float64)[:, None] * M
-                ends = (frame_start + (m, m + h)) * T
-                for u, (at_m, at_mp, resets) in enumerate(outcomes):
-                    user = m + u * h
-                    if start == 0:
-                        fh.write(f"0 {user} 0 {resets[u] * T:.17g}\n")
-                    tails = [f" {user} {slot} {r * T:.17g}\n"
-                             for slot, r in zip((m, m + h), resets)]
-                    frames, cols = np.nonzero(np.column_stack((at_m, at_mp)))
-                    fh.write("".join(["%.17g%s" % (t, tails[c]) for t, c in
-                                      zip(ends[frames, cols].tolist(), cols.tolist())]))
+    times: dict[int, list] = {}
+    ages: dict[int, list] = {}
+    for m, rng in _pair_rngs(config):
+        pending = False
+        for start in range(0, config.frames, CHUNK_FRAMES):
+            n = min(CHUNK_FRAMES, config.frames - start)
+            outcomes = _pair_outcomes(config, m, draw_gains(rng, (n, 4)), pending)
+            pending = not outcomes[1][1][-1]
+            # ends of slots m and m' of every frame; row-major order is time order
+            frame_start = np.arange(start, start + n, dtype=np.float64)[:, None] * M
+            ends = (frame_start + (m, m + h)) * T
+            for u, (at_m, at_mp, resets) in enumerate(outcomes):
+                user = m + u * h
+                if start == 0:
+                    times[user], ages[user] = [np.zeros(1)], [np.array([resets[u] * T])]
+                frames, cols = np.nonzero(np.column_stack((at_m, at_mp)))
+                times[user].append(ends[frames, cols])
+                ages[user].append(np.multiply(resets, T)[cols])
+    return {user: (np.concatenate(times[user]), np.concatenate(ages[user]))
+            for user in sorted(times)}

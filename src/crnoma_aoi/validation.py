@@ -12,13 +12,13 @@ absolute tolerance of the 40 dB GAR gaps and the size of the probability grid.
 ``fast`` is a quick smoke check, its simulation tolerances widened for its
 larger noise; ``full`` runs at the scale the tolerances are calibrated for.
 The probability grid runs on a worker thread beside the other checks; its
-numbers are those of a serial run, bit for bit.
+numbers are those of a serial run, bit for bit.  The renewal cross-check
+hands :func:`crnoma_aoi.simulator.deliveries` straight to
+:func:`crnoma_aoi.oracle.renewal_aoi`, so ``validate`` writes no file.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from . import analytic, oracle
 from .experiments import ExperimentSpec, run_experiment
 from .model import SCHEMES, SystemConfig, db_to_linear, epsilon_of
-from .simulator import AoiReport, run, write_event_log
+from .simulator import AoiReport, deliveries, run
 
 LEVELS = {
     "fast": {"frames": 20_000, "trials": 100_000, "sim_tol": 0.06, "gap_tol": 0.15,
@@ -173,27 +173,22 @@ def run_validation(level: str = "fast", seed: int = 7) -> list[CheckResult]:
     add("oracle_probabilities", prob_ok,
         f"{lv['n_points']}-point grid, worst |err|/3sigma={worst:.2f}")
 
-    # -- renewal-reward cross-check on real event logs --------------------
+    # -- renewal-reward cross-check on the simulator's deliveries ---------
     renewal_ok = True
     worst_abs = 0.0
-    with tempfile.TemporaryDirectory() as log_dir:
-        for scheme in ("TDMA", "CR-NOMA"):
-            for gen_model in ("GAW", "GAR"):
-                cfg = SystemConfig(M=4, T=0.5, R=1.0, P=1.0, P_S=1.0, scheme=scheme,
-                                   gen_model=gen_model,
-                                   frames=max(lv["frames"] // 10, 2000),
-                                   warmup_frames=50, seed=seed + 20)
-                log_path = os.path.join(log_dir, f"{scheme}-{gen_model}.log")
-                write_event_log(cfg, log_path)
-                parsed = oracle.parse_event_log(log_path)
-                t0 = cfg.warmup_frames * cfg.frame_duration
-                t1 = cfg.frames * cfg.frame_duration
-                recomputed = oracle.renewal_aoi(parsed, t1, t0)
-                report = run(cfg)
-                for k in range(cfg.M):
-                    d = abs(recomputed[k + 1] - report.per_user_aoi[k])
-                    worst_abs = max(worst_abs, d)
-                    renewal_ok &= d < 1e-9
+    for scheme in ("TDMA", "CR-NOMA"):
+        for gen_model in ("GAW", "GAR"):
+            cfg = SystemConfig(M=4, T=0.5, R=1.0, P=1.0, P_S=1.0, scheme=scheme,
+                               gen_model=gen_model, frames=max(lv["frames"] // 10, 2000),
+                               warmup_frames=50, seed=seed + 20)
+            t0 = cfg.warmup_frames * cfg.frame_duration
+            t1 = cfg.frames * cfg.frame_duration
+            recomputed = oracle.renewal_aoi(deliveries(cfg), t1, t0)
+            report = run(cfg)
+            for k in range(cfg.M):
+                d = abs(recomputed[k + 1] - report.per_user_aoi[k])
+                worst_abs = max(worst_abs, d)
+                renewal_ok &= d < 1e-9
     add("renewal_cross_check", renewal_ok, f"worst |diff|={worst_abs:.2e} < 1e-9")
 
     # -- series identities ------------------------------------------------

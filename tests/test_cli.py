@@ -1,5 +1,7 @@
 import ast
+import csv
 import inspect
+import io
 import math
 import os
 import subprocess
@@ -331,6 +333,14 @@ class TestCliMain:
             main(["run", "--config", str(conf)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("gen_model", ["GAW", "GAR"])
+    def test_run_never_delivering_prints_inf(self, gen_model, capsys):
+        # eps = 2^200 - 1 is finite, but exp(eps/P) in the closed forms is not
+        assert main(["run", "--R", "200", "--M", "4", "--T", "1", "--snr-db", "0",
+                     "--gen-model", gen_model, "--analytic-only"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert rows and all(r["aoi_analytic"] == "inf" for r in rows)
+
     def test_probs_command(self, capsys):
         assert main(["probs", "--trials", "20000", "--seed", "1"]) == 0
         out = capsys.readouterr().out
@@ -361,9 +371,11 @@ class TestCliMain:
         assert f"error: {flag} must be finite" in captured.err
 
     @pytest.mark.parametrize("flag,value", [
-        ("--snr-db", "4000"), ("--R", "2000"), ("--snr-db", "-4000")])
+        ("--snr-db", "4000"), ("--R", "2000"), ("--snr-db", "-4000"),
+        ("--seed", "-1")])
     def test_probs_rejects_out_of_float_range(self, flag, value, capsys):
-        # 2^R or 10^(dB/10) overflows, or the power underflows to 0
+        # 2^R or 10^(dB/10) overflows, the power underflows to 0, or the seed
+        # is negative
         with pytest.raises(SystemExit) as exc:
             main(["probs", "--trials", "100", f"{flag}={value}"])
         assert exc.value.code == 2

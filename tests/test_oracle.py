@@ -5,7 +5,7 @@ import pytest
 
 from crnoma_aoi import analytic, oracle
 from crnoma_aoi.model import SystemConfig, db_to_linear, epsilon_of
-from crnoma_aoi.simulator import run, write_event_log
+from crnoma_aoi.simulator import deliveries, run
 
 EPS1 = 1.0
 
@@ -118,45 +118,15 @@ class TestRenewalAoi:
 
     @pytest.mark.parametrize("scheme,gen", [("TDMA", "GAW"), ("CR-NOMA", "GAW"),
                                             ("TDMA", "GAR"), ("CR-NOMA", "GAR")])
-    def test_matches_simulator_integrator(self, tmp_path, scheme, gen):
+    def test_matches_simulator_integrator(self, scheme, gen):
         cfg = SystemConfig(M=4, T=0.5, R=1.0, P=1.0, P_S=1.0, scheme=scheme,
                            gen_model=gen, frames=5000, warmup_frames=100, seed=21)
         report = run(cfg)
-        log = tmp_path / "events.log"
-        write_event_log(cfg, log)
-        parsed = oracle.parse_event_log(log)
         t0 = cfg.warmup_frames * cfg.frame_duration
         t1 = cfg.frames * cfg.frame_duration
-        recomputed = oracle.renewal_aoi(parsed, t1, t0)
+        recomputed = oracle.renewal_aoi(deliveries(cfg), t1, t0)
         for k in range(cfg.M):
             assert abs(recomputed[k + 1] - report.per_user_aoi[k]) < 1e-9
-
-
-class TestParseEventLog:
-    def test_line_order_does_not_matter(self, tmp_path):
-        cfg = SystemConfig(M=4, T=0.5, R=1.0, P=1.0, P_S=1.0, scheme="CR-NOMA",
-                           gen_model="GAW", frames=2000, warmup_frames=0, seed=3)
-        log = tmp_path / "events.log"
-        write_event_log(cfg, log)
-        lines = log.read_text().splitlines(keepends=True)
-        np.random.default_rng(0).shuffle(lines)
-        shuffled = tmp_path / "shuffled.log"
-        shuffled.write_text("".join(lines))
-        expect, got = oracle.parse_event_log(log), oracle.parse_event_log(shuffled)
-        assert sorted(got) == sorted(expect) == [1, 2, 3, 4]
-        for user, (times, ages) in expect.items():
-            assert np.all(np.diff(times) > 0)
-            assert np.array_equal(got[user][0], times)
-            assert np.array_equal(got[user][1], ages)
-
-    def test_three_fields_rejected(self, tmp_path):
-        log = tmp_path / "events.log"
-        log.write_text("0 1 0 1.5\n3 1 1.5\n")
-        with pytest.raises(ValueError):
-            oracle.parse_event_log(log)
-        log.write_text("0 1 0\n")
-        with pytest.raises(ValueError):
-            oracle.parse_event_log(log)
 
 
 class TestGeometricMoments:

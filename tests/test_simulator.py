@@ -7,7 +7,7 @@ import pytest
 
 from crnoma_aoi import analytic, oracle, simulator
 from crnoma_aoi.model import SystemConfig, db_to_linear, draw_gains, epsilon_of
-from crnoma_aoi.simulator import run, run_many, write_event_log
+from crnoma_aoi.simulator import deliveries, run, run_many
 
 EPS1 = 1.0
 
@@ -20,14 +20,16 @@ def cfg(scheme="TDMA", gen_model="GAW", M=8, T=1.5, R=1.0, snr_db=0.0,
                         warmup_frames=warmup, seed=seed)
 
 
-def logged_events(c, tmp_path):
-    """Write ``c``'s event log; return user -> (times, slots, reset ages), the
-    columns of the user's lines in file order (t=0 record first)."""
-    log = tmp_path / "events.log"
-    write_event_log(c, log)
-    times, users, slots, ages = np.loadtxt(log, ndmin=2, unpack=True)
-    return {int(k): (times[users == k], slots[users == k], ages[users == k])
-            for k in np.unique(users)}
+def logged_events(c):
+    """``c``'s deliveries as user -> (times, slots, reset ages), t=0 record
+    (slot 0) first.  A delivery at the end of slot k (1..M) of frame f is at
+    t = (f*M + k)*T, which gives its slot."""
+    out = {}
+    for user, (times, ages) in deliveries(c).items():
+        slots = (np.rint(times / c.T).astype(np.int64) - 1) % c.M + 1
+        slots[0] = 0
+        out[user] = (times, slots, ages)
+    return out
 
 
 class TestWindowedAverage:
@@ -91,14 +93,15 @@ class TestKernel:
              ("CR-NOMA", "GAR")]
 
     @pytest.mark.parametrize("scheme,gen", PAIRS)
-    def test_matches_oracle(self, tmp_path, scheme, gen):
+    def test_matches_oracle(self, scheme, gen):
         # 2983 post-warm-up frames: not a multiple of 20 or of the chunk size
         c = cfg(scheme=scheme, gen_model=gen, M=6, T=1.5, frames=3000,
                 warmup=17, seed=4)
-        log = tmp_path / "events.log"
-        write_event_log(c, log)
-        expect = oracle.renewal_aoi(oracle.parse_event_log(log),
-                                    c.frames * c.frame_duration,
+        events = deliveries(c)
+        assert list(events) == list(range(1, c.M + 1))
+        for times, _ages in events.values():
+            assert times[0] == 0 and np.all(np.diff(times) > 0)
+        expect = oracle.renewal_aoi(events, c.frames * c.frame_duration,
                                     c.warmup_frames * c.frame_duration)
         r = run(c)
         for k in range(c.M):
@@ -128,26 +131,26 @@ class TestKernel:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
 
-    def test_event_log_memory_bounded(self, tmp_path):
-        # the log is drawn and written in chunks: a 4x longer horizon must
-        # not raise the peak (held in full, it grew about 4x); at -20 dB few
-        # frames deliver, which keeps the traced run short
+    def test_event_log_memory_bounded(self):
+        # deliveries are drawn and classified in chunks: a 4x longer horizon
+        # must not raise the peak (gains held in full, it grew about 4x); at
+        # -20 dB few frames deliver, which keeps the traced run short
         peaks = []
         for frames in (100_000, 400_000):
             c = cfg(scheme="CR-NOMA", M=4, snr_db=-20.0, frames=frames)
             tracemalloc.start()
             try:
-                write_event_log(c, tmp_path / "events.log")
+                deliveries(c)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
 
-    def test_event_log_draws_once_per_pair_and_block(self, tmp_path, monkeypatch):
+    def test_event_log_draws_once_per_pair_and_block(self, monkeypatch):
         # one pass: each of the 2 pairs draws its 5 blocks of at most 7
-        # frames once for both users, and the lines match an unchunked log
+        # frames once for both users, and the arrays match an unchunked call
         c = cfg(scheme="CR-NOMA", M=4, frames=30, warmup=0)
-        write_event_log(c, tmp_path / "whole.log")
+        whole = deliveries(c)
         calls = []
 
         def counting(rng, size):
@@ -157,10 +160,12 @@ class TestKernel:
         draw = simulator.draw_gains
         monkeypatch.setattr(simulator, "CHUNK_FRAMES", 7)
         monkeypatch.setattr(simulator, "draw_gains", counting)
-        write_event_log(c, tmp_path / "chunked.log")
+        chunked = deliveries(c)
         assert len(calls) == 2 * 5
-        assert (sorted((tmp_path / "chunked.log").read_text().splitlines())
-                == sorted((tmp_path / "whole.log").read_text().splitlines()))
+        assert list(chunked) == list(whole)
+        for user, (times, ages) in whole.items():
+            assert np.array_equal(chunked[user][0], times)
+            assert np.array_equal(chunked[user][1], ages)
 
 
 class TestRunMany:
@@ -201,24 +206,24 @@ class TestDeterminism:
 
 
 class TestResetAges:
-    def test_gaw_resets_always_to_T(self, tmp_path):
+    def test_gaw_resets_always_to_T(self):
         for scheme in ("TDMA", "CR-NOMA"):
-            events = logged_events(cfg(scheme=scheme, frames=2000), tmp_path)
+            events = logged_events(cfg(scheme=scheme, frames=2000))
             for _times, _slots, ages in events.values():
                 assert np.all(ages == 1.5)
 
-    def test_gar_resets_in_pair_slots(self, tmp_path):
+    def test_gar_resets_in_pair_slots(self):
         M, T = 8, 0.5
         events = logged_events(cfg(scheme="CR-NOMA", gen_model="GAR",
-                                   M=M, T=T, frames=2000), tmp_path)
+                                   M=M, T=T, frames=2000))
         for k, (_times, _slots, ages) in events.items():
             m = k if k <= M // 2 else k - M // 2
             allowed = {m * T, (m + M // 2) * T}
             assert set(np.unique(ages[1:])) <= allowed
 
-    def test_tdma_gar_resets_to_kT(self, tmp_path):
+    def test_tdma_gar_resets_to_kT(self):
         events = logged_events(cfg(scheme="TDMA", gen_model="GAR",
-                                   M=8, T=0.5, frames=2000), tmp_path)
+                                   M=8, T=0.5, frames=2000))
         for k, (_times, _slots, ages) in events.items():
             assert np.all(ages[1:] == k * 0.5)
 
@@ -271,10 +276,10 @@ class TestAgainstClosedForms:
 
 
 class TestEventStatistics:
-    def test_crnoma_gaw_frequencies_match_partition(self, tmp_path):
+    def test_crnoma_gaw_frequencies_match_partition(self):
         c = cfg(scheme="CR-NOMA", gen_model="GAW", M=4, T=1.0, frames=100_000,
                 warmup=0, seed=9)
-        events = logged_events(c, tmp_path)
+        events = logged_events(c)
         part = analytic.gaw_partition(c.eps, c.P, c.P_S)
         M, T = c.M, c.T
         for m in (1, 2):  # the m-side of each pair
@@ -291,14 +296,14 @@ class TestEventStatistics:
             assert abs(frames_second / n - part.p_second) < sigma2
             assert np.all(times > 0)
 
-    def test_crnoma_gaw_renewal_interval_support(self, tmp_path):
+    def test_crnoma_gaw_renewal_interval_support(self):
         c = cfg(scheme="CR-NOMA", gen_model="GAW", M=4, T=1.0, frames=20_000,
                 warmup=0, seed=10)
-        events = logged_events(c, tmp_path)
+        events = logged_events(c)
         MT = c.frame_duration
         for times, _slots, _ages in events.values():
             gaps = np.diff(times[1:])  # skip the synthetic t=0 record
-            # the writer emits each user's deliveries in time order
+            # each user's deliveries come in time order
             assert np.all(gaps > 0)
             # allowed values: x*MT and x*MT +- MT/2 for integer x >= 0
             scaled = gaps / (MT / 2.0)
