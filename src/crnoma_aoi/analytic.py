@@ -2,9 +2,10 @@
 
 The formulas are implemented verbatim (no algebraic simplification) so each
 function maps one-to-one onto a published expression.  Probability triples are
-returned as :class:`Partition` objects (p0, p_first, p_second): per frame a
-user either succeeds at its first opportunity slot, fails there but succeeds
-at its second opportunity, or fails both.
+returned as :class:`Partition` named tuples (p0, p_first, p_second), so
+``sum(part)`` is their total: per frame a user either succeeds at its first
+opportunity slot, fails there but succeeds at its second opportunity, or
+fails both.
 
 Note on P != P_S: the first-opportunity success probability of the GAW
 partition (and of the GAR user-m partition) is written with exponent eps/P_S
@@ -17,22 +18,15 @@ consequently the GAR user-m triple only sums to 1 when P = P_S.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """Per-frame outcome probabilities: both-fail / first-slot / second-slot."""
 
     p0: float
     p_first: float
     p_second: float
-
-    def astuple(self) -> tuple[float, float, float]:
-        return (self.p0, self.p_first, self.p_second)
-
-    def total(self) -> float:
-        return self.p0 + self.p_first + self.p_second
 
 
 def tau_of(eps: float, P: float, P_S: float) -> float:
@@ -101,8 +95,7 @@ def tdma_gaw_aoi(M: int, T: float, eps: float, P: float) -> float:
 
 def crnoma_gaw_aoi(M: int, T: float, eps: float, P: float, P_S: float) -> float:
     """Normalized overall average AoI under CR-NOMA with GAW."""
-    p = gaw_partition(eps, P, P_S)
-    return T + delta_kernel(p.p0, p.p_first, p.p_second, M, T)
+    return T + delta_kernel(*gaw_partition(eps, P, P_S), M, T)
 
 
 def gaw_high_snr_aoi(M: int, T: float) -> float:
@@ -127,13 +120,15 @@ def delta_k0(m: int, m_prime: int, T: float, part: Partition) -> float:
     right after a delivery, weighted by renewal interval length.
 
     Implemented exactly as published, prefactor included (the prefactor equals
-    1 whenever the partition sums to 1).
+    1 whenever the partition sums to 1).  Like :func:`delta_kernel`, a
+    partition that never succeeds, or whose 1 - p0 is not positive, returns
+    inf.
     """
-    x, y, z = part.p0, part.p_first, part.p_second
+    x, y, z = part
     s = y + z
-    if s <= 0.0:
-        return math.inf
     one = 1.0 - x
+    if s <= 0.0 or one <= 0.0:
+        return math.inf
     pref = one * one / (s * s)
     term_m = s * (m * T * y) / (one * one) + 0.5 * z * (m * T * y) / one
     term_mp = s * (m_prime * T * z) / (one * one) - 0.5 * y * (m_prime * T * z) / one
@@ -152,8 +147,7 @@ def crnoma_gar_user_aoi(k: int, m: int, M: int, T: float, eps: float,
         part = gar_partition_user_mprime(eps, P, P_S)
     else:
         raise ValueError(f"k must be {m} or {m_prime}, got {k}")
-    return delta_k0(m, m_prime, T, part) + delta_kernel(part.p0, part.p_first,
-                                                        part.p_second, M, T)
+    return delta_k0(m, m_prime, T, part) + delta_kernel(*part, M, T)
 
 
 def crnoma_gar_overall(M: int, T: float, eps: float, P: float, P_S: float) -> float:
@@ -171,8 +165,9 @@ def closed_form_aoi(scheme: str, gen_model: str, M: int, T: float, eps: float,
                     P: float, P_S: float, user: int | None = None) -> float:
     """Closed-form average AoI of one scheme/model point: the network average,
     or user ``user``'s (1..M) under GAR.  Under GAW every user has the
-    network average.  A closed form whose ``math.exp`` overflows has an AoI
-    beyond any float, so it is returned as ``math.inf``."""
+    network average.  ``math.inf`` marks a point whose AoI is beyond any
+    float: a closed form whose ``math.exp`` overflows, or a partition whose
+    published 1 - p0 rounds to 0."""
     tdma = scheme == "TDMA"
     try:
         if gen_model == "GAW":

@@ -108,7 +108,7 @@ def _cmd_probs(args: argparse.Namespace) -> int:
     print(f"eps={eps:.6g} P={P:.6g} P_S={P_S:.6g} trials={args.trials}")
     print(f"{'probability':<18}{'closed form':>14}{'monte carlo':>14}{'3sigma':>10}")
     for group, part, est in rows:
-        for label, value, e in zip(("p0", "p_first", "p_second"), part.astuple(), est):
+        for label, value, e in zip(part._fields, part, est):
             flag = "" if e.covers(value) else "   MISMATCH"
             print(f"{group}.{label:<12}{value:>14.6f}{e.estimate:>14.6f}"
                   f"{e.half_width:>10.6f}{flag}")

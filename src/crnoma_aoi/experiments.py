@@ -7,6 +7,9 @@ byte-identical CSV documents.
 
 The grid points of one M share one seed, derived from (spec seed, M), and so
 their channel draws; adding a grid point reseeds none of the others.
+:meth:`ExperimentSpec.validate` builds each point's :class:`SystemConfig`
+once, at that seed, and :func:`run_experiment` simulates and prints those
+configs.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import closed_form_aoi
-from .model import SystemConfig, db_to_linear, epsilon_of
+from .model import SystemConfig, db_to_linear
 from .simulator import run_many
 
 CSV_HEADER = ("preset,scheme,gen_model,M,T,R,snr_db,user_id,"
@@ -44,12 +47,13 @@ class ExperimentSpec:
     warmup: int = 100
     seed: int = 1
 
-    def validate(self) -> None:
-        """Reject a bad spec before any point is simulated.  Every grid point
-        must build a :class:`SystemConfig`, which holds the per-point rules
-        (even M, finite T, R and SNR, known scheme, frames > warmup,
-        seed >= 0).  Axes must be non-empty and, like ``users``, free of
-        duplicates; a non-empty ``users`` applies to GAR only."""
+    def validate(self) -> dict[tuple, SystemConfig]:
+        """Reject a bad spec before any point is simulated, and return its
+        grid in sorted order: ``(scheme, M, T, R, snr_db) -> SystemConfig``,
+        each config at its sweep seed.  The configs hold the per-point rules
+        (even M, finite T, R and SNR, known scheme, frames > warmup).  The
+        seed must be >= 0, axes must be non-empty and, like ``users``, free
+        of duplicates; a non-empty ``users`` applies to GAR only."""
         for name in ("schemes", "M_values", "T_values", "R_values",
                      "snr_db_values", "users"):
             values = getattr(self, name)
@@ -59,19 +63,25 @@ class ExperimentSpec:
                 raise ValueError(f"{name} has duplicate values: {values}")
         if self.outputs not in ("both", "analytic", "sim"):
             raise ValueError(f"outputs must be both/analytic/sim, got {self.outputs!r}")
-        for scheme, M, T, R, snr in itertools.product(
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # SeedSequence cannot take a negative M; SystemConfig rejects it by name
+        seeds = {M: _sweep_seed(self.seed, M) if M >= 0 else 0 for M in self.M_values}
+        configs = {}
+        for scheme, M, T, R, snr in sorted(itertools.product(
                 self.schemes, self.M_values, self.T_values, self.R_values,
-                self.snr_db_values):
+                map(float, self.snr_db_values))):
             P = db_to_linear(snr)
-            SystemConfig(M=M, T=T, R=R, P=P, P_S=P, scheme=scheme,
-                         gen_model=self.gen_model, frames=self.frames,
-                         warmup_frames=self.warmup, seed=self.seed)
+            configs[scheme, M, T, R, snr] = SystemConfig(
+                M=M, T=T, R=R, P=P, P_S=P, scheme=scheme, gen_model=self.gen_model,
+                frames=self.frames, warmup_frames=self.warmup, seed=seeds[M])
         if self.users and self.gen_model != "GAR":
             raise ValueError("users apply to GAR only")
         for M in self.M_values:
             for u in self.users or ():
                 if not 1 <= u <= M:
                     raise ValueError(f"user {u} out of range for M={M}")
+        return configs
 
 
 # Axis values mirror the reference figure setups; fig5 sweeps M at a small
@@ -118,30 +128,23 @@ def run_experiment(spec: ExperimentSpec) -> str:
     """Execute the sweep and return the CSV document (header included).  A
     row's ``seed`` column is the seed it was simulated with, so ``run`` of
     the row's :class:`SystemConfig` at that seed reproduces it."""
-    spec.validate()
-    grid = sorted(itertools.product(spec.schemes, spec.M_values, spec.T_values,
-                                    spec.R_values, map(float, spec.snr_db_values)))
-    seeds = {M: _sweep_seed(spec.seed, M) for M in spec.M_values}
+    configs = spec.validate()
     reports = {}
     if spec.outputs != "analytic":
-        for M, seed in seeds.items():
-            points = [p for p in grid if p[1] == M]
-            reports.update(zip(points, run_many([
-                SystemConfig(M=M, T=T, R=R, P=db_to_linear(snr), P_S=db_to_linear(snr),
-                             scheme=scheme, gen_model=spec.gen_model,
-                             frames=spec.frames, warmup_frames=spec.warmup, seed=seed)
-                for scheme, _, T, R, snr in points])))
+        for M in spec.M_values:
+            points = [p for p in configs if p[1] == M]
+            reports.update(zip(points, run_many([configs[p] for p in points])))
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
-    for point in grid:
+    for point, c in configs.items():
         scheme, M, T, R, snr = point
-        P, report = db_to_linear(snr), reports.get(point)
+        report = reports.get(point)
         users = spec.users if spec.users is not None else range(1, M + 1)
         for user in [None, *(sorted(users) if spec.gen_model == "GAR" else ())]:
             a_val = s_val = hw = ""
             if spec.outputs != "sim":
                 a_val = _fmt(closed_form_aoi(scheme, spec.gen_model, M, T,
-                                             epsilon_of(R), P, P, user))
+                                             c.eps, c.P, c.P_S, user))
             if report is not None:
                 s_val, hw = map(_fmt, (report.overall_aoi, report.overall_halfwidth)
                                 if user is None else
@@ -151,6 +154,6 @@ def run_experiment(spec: ExperimentSpec) -> str:
                 spec.preset, scheme, spec.gen_model,
                 str(M), _fmt(T), _fmt(R), _fmt(snr),
                 "overall" if user is None else str(user), a_val, s_val, hw,
-                str(spec.frames), str(seeds[M]),
+                str(spec.frames), str(c.seed),
             ]) + "\n")
     return out.getvalue()

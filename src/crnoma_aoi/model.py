@@ -105,7 +105,9 @@ def draw_gains(rng: np.random.Generator, size) -> np.ndarray:
 
 
 def primary_success(P, g, eps):
-    """Interference-free slot: true iff log2(1 + P*g) >= R, i.e. P*g >= eps.
+    """Interference-free attempt at power P: true iff log2(1 + P*g) >= R,
+    i.e. P*g >= eps.  This covers a primary and a secondary whose partner is
+    silent (called with P_S).
 
     Equality counts as success (probability zero under continuous fading).
     """
@@ -116,8 +118,3 @@ def secondary_capped_success(P_S, g_sec, P, g_pri, eps):
     """Secondary user decoded first under SIC, rate capped by the primary's
     interference: true iff P_S*g_sec / (P*g_pri + 1) >= eps."""
     return P_S * g_sec >= eps * (P * g_pri + 1.0)
-
-
-def secondary_solo_success(P_S, g, eps):
-    """Secondary user alone in the slot (partner silent): true iff P_S*g >= eps."""
-    return P_S * g >= eps

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (primary_success, secondary_capped_success,
-                    secondary_solo_success)
+from .model import primary_success, secondary_capped_success
 
 _BLOCK = 1 << 16   # trials classified at a time; temporaries stay cache-sized
 
@@ -86,7 +85,7 @@ def estimate_gar_partitions(eps: float, P: float, P_S: float, trials: int,
         sp1 = secondary_capped_success(P_S, g_mp_m, P, g_m_m, eps)
         sp2 = primary_success(P, g_mp_mp, eps)
         sm2 = np.where(sp1,
-                       secondary_solo_success(P_S, g_m_mp, eps),
+                       primary_success(P_S, g_m_mp, eps),
                        secondary_capped_success(P_S, g_m_mp, P, g_mp_mp, eps))
         m_first += np.count_nonzero(sm1)
         m_second += np.count_nonzero(~sm1 & sm2)
@@ -127,17 +126,17 @@ def renewal_aoi(events_by_user: dict[int, tuple[np.ndarray, np.ndarray]],
     return out
 
 
-def geometric_moment_check(x: float, terms: int = 2000) -> tuple[float, float]:
+def geometric_moment_check(x: float) -> tuple[float, float]:
     """Residuals of the two geometric-series moment identities
 
         sum_j j x^j   = x / (1-x)^2
         sum_j j^2 x^j = x (1+x) / (1-x)^3
 
-    evaluated by direct partial summation of ``terms`` terms.
+    evaluated by direct partial summation of 2000 terms.
     """
     if not 0.0 < x < 1.0:
         raise ValueError(f"x must be in (0, 1), got {x}")
-    j = np.arange(1, terms + 1, dtype=np.float64)
+    j = np.arange(1, 2001, dtype=np.float64)
     powers = x ** j
     s1 = float(np.sum(j * powers))
     s2 = float(np.sum(j * j * powers))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (SystemConfig, draw_gains, primary_success,
-                    secondary_capped_success, secondary_solo_success)
+                    secondary_capped_success)
 
 N_BATCHES = 20
 CHUNK_FRAMES = 1 << 15
@@ -89,9 +89,9 @@ def _pair_outcomes(cfg: SystemConfig, m: int, gains: np.ndarray, pending: bool):
         sm1 = primary_success(P, g_m_m, eps)                         # U_m primary, slot m
         sp1 = secondary_capped_success(P_S, g_mp_m, P, g_m_m, eps)   # U_m' secondary, slot m
         sp2 = primary_success(P, g_mp_mp, eps)                       # U_m' retry, slot m'
-        # U_m's retry in slot m': capped if U_m' retransmits, solo if it is silent
+        # U_m's retry in slot m': capped if U_m' retransmits, interference-free if silent
         sm2 = np.where(sp1,
-                       secondary_solo_success(P_S, g_m_mp, eps),
+                       primary_success(P_S, g_m_mp, eps),
                        secondary_capped_success(P_S, g_m_mp, P, g_mp_mp, eps))
         masks = ((sm1, ~sm1 & sm2), (sp1, ~sp1 & sp2))
     return [(at_m, at_mp, resets) for at_m, at_mp in masks]

@@ -81,8 +81,8 @@ def _probability_grid(lv: dict, seed: int) -> tuple[bool, bool, float]:
     for R, snr in zip(rs, snrs):
         P = db_to_linear(float(snr))
         for _, part, est in partition_table(epsilon_of(float(R)), P, P, lv["trials"], rng):
-            sum_ok &= abs(part.total() - 1.0) < 1e-12
-            for value, e in zip(part.astuple(), est):
+            sum_ok &= abs(sum(part) - 1.0) < 1e-12
+            for value, e in zip(part, est):
                 prob_ok &= e.covers(value)
                 if e.half_width > 0:
                     worst = max(worst, abs(e.estimate - value) / e.half_width)

@@ -46,7 +46,7 @@ class TestTdmaGaw:
 class TestGawPartition:
     def test_error_free(self):
         p = analytic.gaw_partition(0.0, 1.0, 1.0)
-        assert p.astuple() == (0.0, 1.0, 0.0)
+        assert p == (0.0, 1.0, 0.0)
 
     def test_zero_db(self):
         p = analytic.gaw_partition(EPS1, 1.0, 1.0)
@@ -56,7 +56,7 @@ class TestGawPartition:
 
     @given(eps=rate_eps, P=snr, P_S=snr)
     def test_sums_to_one(self, eps, P, P_S):
-        assert analytic.gaw_partition(eps, P, P_S).total() == pytest.approx(1.0, abs=1e-12)
+        assert sum(analytic.gaw_partition(eps, P, P_S)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDeltaKernel:
@@ -149,18 +149,18 @@ class TestGarPartitions:
         assert p.p_second == pytest.approx(0.300211799553136, abs=1e-12)
 
     def test_error_free(self):
-        assert analytic.gar_partition_user_m(0.0, 1.0, 1.0).astuple() == (0.0, 1.0, 0.0)
-        assert analytic.gar_partition_user_mprime(0.0, 1.0, 1.0).astuple() == (0.0, 1.0, 0.0)
+        assert analytic.gar_partition_user_m(0.0, 1.0, 1.0) == (0.0, 1.0, 0.0)
+        assert analytic.gar_partition_user_mprime(0.0, 1.0, 1.0) == (0.0, 1.0, 0.0)
 
     @given(eps=rate_eps, P=snr)
     def test_user_m_sums_to_one_when_powers_match(self, eps, P):
         # the published user-m triple only partitions when P = P_S
-        assert analytic.gar_partition_user_m(eps, P, P).total() == pytest.approx(
+        assert sum(analytic.gar_partition_user_m(eps, P, P)) == pytest.approx(
             1.0, abs=1e-12)
 
     @given(eps=rate_eps, P=snr, P_S=snr)
     def test_user_mprime_sums_to_one(self, eps, P, P_S):
-        assert analytic.gar_partition_user_mprime(eps, P, P_S).total() == pytest.approx(
+        assert sum(analytic.gar_partition_user_mprime(eps, P, P_S)) == pytest.approx(
             1.0, abs=1e-12)
 
 
@@ -172,6 +172,16 @@ class TestDeltaK0:
     def test_user_mprime_zero_db(self):
         p = analytic.gar_partition_user_mprime(EPS1, 1.0, 1.0)
         assert analytic.delta_k0(1, 5, 0.5, p) == pytest.approx(1.626, abs=5e-4)
+
+    @pytest.mark.parametrize("partition", ["gar_partition_user_m",
+                                           "gar_partition_user_mprime"])
+    def test_one_minus_p0_rounded_to_zero_is_divergent(self, partition):
+        # R = 0.5 at -20 dB: both slots succeed with probability ~1e-18, so
+        # the published p0 rounds to 1 while p_first + p_second stays positive
+        P = db_to_linear(-20.0)
+        p = getattr(analytic, partition)(epsilon_of(0.5), P, P)
+        assert p.p0 == 1.0 and p.p_first + p.p_second > 0.0
+        assert analytic.delta_k0(1, 5, 0.5, p) == math.inf
 
     @given(eps=rate_eps, P=snr)
     def test_prefactor_is_one(self, eps, P):

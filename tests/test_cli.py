@@ -19,7 +19,7 @@ from crnoma_aoi.cli import main
 from crnoma_aoi.experiments import (CSV_HEADER, PRESETS, ExperimentSpec,
                                     preset_spec, run_experiment)
 from crnoma_aoi.model import SystemConfig, db_to_linear
-from crnoma_aoi.simulator import run
+from crnoma_aoi.simulator import AoiReport, run
 from crnoma_aoi.validation import run_validation
 
 
@@ -164,6 +164,34 @@ class TestSharedDraws:
         assert len(calls) == 4 * 21
 
 
+class TestSweepGrid:
+    def test_run_many_gets_the_validated_configs(self, monkeypatch):
+        calls = []
+
+        def capture(configs):
+            calls.append(configs)
+            return [AoiReport([1.0] * c.M, 1.0, [0.0] * c.M, 0.0) for c in configs]
+
+        monkeypatch.setattr(experiments, "run_many", capture)
+        spec = ExperimentSpec(schemes=("TDMA", "CR-NOMA"), gen_model="GAR",
+                              M_values=(4, 2), T_values=(1.5, 0.5), R_values=(1.0,),
+                              snr_db_values=(10, 0), users=(1, 2), frames=200,
+                              warmup=10, seed=3)
+        configs = spec.validate()
+        assert list(configs) == sorted(configs) and len(configs) == 16
+        rows = TestSharedDraws.rows(run_experiment(spec))
+        # one run_many call per M, each with that M's configs in grid order
+        assert sorted(call[0].M for call in calls) == [2, 4]
+        for call in calls:
+            assert call == [c for c in configs.values() if c.M == call[0].M]
+        assert len({c.seed for c in configs.values()}) == 2
+        for row in rows:
+            key = (row["scheme"], int(row["M"]), float(row["T"]), float(row["R"]),
+                   float(row["snr_db"]))
+            assert row["seed"] == str(configs[key].seed)
+        assert [r["user_id"] for r in rows] == ["overall", "1", "2"] * 16
+
+
 class TestSpecValidation:
     @given(T=st.floats(min_value=1e-3, max_value=1e3),
            R=st.floats(min_value=0.0, max_value=10.0),
@@ -179,6 +207,15 @@ class TestSpecValidation:
             mp.setattr(experiments, "run_many", pytest.fail)
             with pytest.raises(ValueError):
                 run_experiment(spec)
+
+    def test_negative_seed_rejected_before_seeding(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_sweep_seed", pytest.fail)
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentSpec(seed=-1).validate()
+
+    def test_negative_m_named(self):
+        with pytest.raises(ValueError, match="M must be"):
+            ExperimentSpec(M_values=(-2,)).validate()
 
     @given(frames=st.integers(min_value=0, max_value=10 ** 6),
            extra=st.integers(min_value=0, max_value=10 ** 6))
@@ -340,6 +377,16 @@ class TestCliMain:
                      "--gen-model", gen_model, "--analytic-only"]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert rows and all(r["aoi_analytic"] == "inf" for r in rows)
+
+    def test_run_p0_rounding_to_one_prints_inf(self, capsys):
+        # R = 0.5 at -20 dB: the published GAR partitions have p0 == 1.0
+        assert main(["run", "--gen-model", "GAR", "--R", "0.5", "--snr-db", "-20",
+                     "--M", "8", "--T", "0.5", "--analytic-only"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        noma = [r for r in rows if r["scheme"] == "CR-NOMA"]
+        assert len(noma) == 9 and all(r["aoi_analytic"] == "inf" for r in noma)
+        assert all(math.isfinite(float(r["aoi_analytic"]))
+                   for r in rows if r["scheme"] == "TDMA")
 
     def test_probs_command(self, capsys):
         assert main(["probs", "--trials", "20000", "--seed", "1"]) == 0

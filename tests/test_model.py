@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crnoma_aoi.model import (SystemConfig, db_to_linear, draw_gains, epsilon_of,
-                              primary_success, secondary_capped_success,
-                              secondary_solo_success)
+                              primary_success, secondary_capped_success)
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
 gains = st.floats(min_value=0.0, max_value=1e3)
@@ -78,12 +77,14 @@ class TestSuccessPredicates:
         assert rate == pytest.approx(math.exp(-1.0) / 2.0, abs=1.2e-3)
 
     def test_solo(self):
-        assert secondary_solo_success(2.0, 1.0, 1.0)
-        assert not secondary_solo_success(1.0, 0.99, 1.0)
+        # a secondary whose partner is silent is decoded by the
+        # interference-free rule at its own power P_S
+        assert primary_success(2.0, 1.0, 1.0)
+        assert not primary_success(1.0, 0.99, 1.0)
         rng = np.random.default_rng(13)
         g = draw_gains(rng, 10 ** 6)
-        assert np.mean(secondary_solo_success(1.0, g, 1.0)) == pytest.approx(
-            math.exp(-1.0), abs=1.5e-3)
+        assert np.mean(primary_success(2.0, g, 1.0)) == pytest.approx(
+            math.exp(-0.5), abs=1.5e-3)
 
     @given(P_S=positive, g_sec=gains, P=positive, g_pri=gains, eps=positive,
            bump=st.floats(min_value=0.0, max_value=10.0))
@@ -100,7 +101,7 @@ class TestSuccessPredicates:
     @given(P_S=positive, g=gains, eps=positive)
     def test_capped_without_interference_is_solo(self, P_S, g, eps):
         assert (secondary_capped_success(P_S, g, 1.0, 0.0, eps)
-                == secondary_solo_success(P_S, g, eps))
+                == primary_success(P_S, g, eps))
 
 
 class TestSystemConfig:

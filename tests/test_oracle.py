@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -29,7 +31,7 @@ class TestGawEstimator:
         rng = np.random.default_rng(1)
         part = analytic.gaw_partition(EPS1, 1.0, 1.0)
         est = oracle.estimate_gaw_partition(EPS1, 1.0, 1.0, 10 ** 6, rng)
-        for value, e in zip(part.astuple(), est):
+        for value, e in zip(part, est):
             assert e.covers(value)
 
     def test_estimates_sum_to_one(self):
@@ -48,9 +50,9 @@ class TestGarEstimators:
     def test_zero_db_against_lemma(self):
         rng = np.random.default_rng(4)
         um, ump = oracle.estimate_gar_partitions(EPS1, 1.0, 1.0, 10 ** 6, rng)
-        for value, e in zip(analytic.gar_partition_user_m(EPS1, 1.0, 1.0).astuple(), um):
+        for value, e in zip(analytic.gar_partition_user_m(EPS1, 1.0, 1.0), um):
             assert e.covers(value)
-        for value, e in zip(analytic.gar_partition_user_mprime(EPS1, 1.0, 1.0).astuple(), ump):
+        for value, e in zip(analytic.gar_partition_user_mprime(EPS1, 1.0, 1.0), ump):
             assert e.covers(value)
 
     def test_named_values(self):
@@ -67,7 +69,7 @@ class TestGarEstimators:
         rng = np.random.default_rng(6)
         _, ump = oracle.estimate_gar_partitions(EPS1, P, P_S, 10 ** 6, rng)
         part = analytic.gar_partition_user_mprime(EPS1, P, P_S)
-        for value, e in zip(part.astuple(), ump):
+        for value, e in zip(part, ump):
             assert e.covers(value)
 
 
@@ -143,7 +145,7 @@ class TestGeometricMoments:
         assert np.sum(j * x ** j) == pytest.approx(x, rel=1e-7)
 
     def test_large_x(self):
-        r1, r2 = oracle.geometric_moment_check(0.9, terms=1000)
+        r1, r2 = oracle.geometric_moment_check(0.9)
         assert r1 < 1e-10 and r2 < 1e-10
 
     def test_domain(self):
@@ -151,3 +153,17 @@ class TestGeometricMoments:
             oracle.geometric_moment_check(1.0)
         with pytest.raises(ValueError):
             oracle.geometric_moment_check(0.0)
+
+
+class TestIndependence:
+    def test_imports_only_the_success_predicates(self):
+        # the oracle shares the success predicates with the simulator and
+        # nothing else: no simulator, analytic, experiments or validation code
+        tree = ast.parse(inspect.getsource(oracle))
+        package = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and (node.level > 0 or (node.module or "").startswith("crnoma_aoi"))
+                   or isinstance(node, ast.Import)
+                   and any(a.name.startswith("crnoma_aoi") for a in node.names)]
+        assert [ast.unparse(node) for node in package] == [
+            "from .model import primary_success, secondary_capped_success"]
