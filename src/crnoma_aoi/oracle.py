@@ -8,9 +8,14 @@ reset ages, as :func:`crnoma_aoi.simulator.deliveries` returns them) interval
 by interval in floating point (Q_j = reset_age * y_j + y_j^2 / 2), independent
 of the simulator's per-frame kernel, which sums integer slot origins.
 
-Each estimator draws its k gains per trial in one ``standard_exponential((k,
-trials))`` call (rows in the order of k separate draws, the same stream) and
-classifies them in column blocks of ``_BLOCK`` trials; both-fail is the rest.
+Each estimator draws its k gains per trial as k rows of ``trials`` Exp(1)
+gains, in the order of one ``standard_exponential((k, trials))`` call (the
+same stream).  A row is streamed ``_BLOCK`` trials at a time through one
+reused buffer and reduced at once to the bool outcome rows it decides; only a
+row that a later row's joint predicate still needs is held in float (GAW's
+retry gain; GAR's U_m gain in slot m, then in slot m').  Both-fail is the
+rest.  At 10^6 trials an estimator's traced peak is about 11 MiB, where the
+whole (k, trials) draw took 25 (GAW) and 32 MiB (GAR).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from .model import primary_success, secondary_capped_success
 
-_BLOCK = 1 << 16   # trials classified at a time; temporaries stay cache-sized
+_BLOCK = 1 << 16   # trials drawn and classified at a time; temporaries stay small
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,15 @@ def _partition(trials: int, first: int, second: int):
                  for hits in (trials - first - second, first, second))
 
 
+def _blocks(rng: np.random.Generator, trials: int, buf: np.ndarray):
+    """Yield (slice, gains) over one row of ``trials`` Exp(1) gains, drawn
+    into ``buf`` ``_BLOCK`` at a time: the same stream as one draw of the
+    row, without holding it."""
+    for lo in range(0, trials, _BLOCK):
+        block = rng.standard_exponential(out=buf[:min(_BLOCK, trials - lo)])
+        yield slice(lo, lo + len(block)), block
+
+
 def estimate_gaw_partition(eps: float, P: float, P_S: float, trials: int,
                            rng: np.random.Generator):
     """Empirical frame-outcome partition for a user under CR-NOMA with GAW.
@@ -59,15 +73,16 @@ def estimate_gaw_partition(eps: float, P: float, P_S: float, trials: int,
     slot, else success in the partner's slot as capped secondary, else both
     fail.  Returns (p0, p_first, p_second) estimates.
     """
-    gains = rng.standard_exponential((3, trials))
-    first = second = 0
-    for lo in range(0, trials, _BLOCK):
-        g_own, g_retry, g_partner = gains[:, lo:lo + _BLOCK]
-        s1 = primary_success(P, g_own, eps)
-        first += np.count_nonzero(s1)
-        second += np.count_nonzero(
-            ~s1 & secondary_capped_success(P_S, g_retry, P, g_partner, eps))
-    return _partition(trials, first, second)
+    buf = np.empty(min(trials, _BLOCK))
+    s1 = np.empty(trials, dtype=bool)
+    for rows, g_own in _blocks(rng, trials, buf):
+        s1[rows] = primary_success(P, g_own, eps)
+    g_retry = rng.standard_exponential(trials)
+    second = 0
+    for rows, g_partner in _blocks(rng, trials, buf):
+        second += np.count_nonzero(~s1[rows] & secondary_capped_success(
+            P_S, g_retry[rows], P, g_partner, eps))
+    return _partition(trials, np.count_nonzero(s1), second)
 
 
 def estimate_gar_partitions(eps: float, P: float, P_S: float, trials: int,
@@ -76,23 +91,26 @@ def estimate_gar_partitions(eps: float, P: float, P_S: float, trials: int,
     CR-NOMA with GAR, classified jointly per frame (including the branch
     where the partner's first-slot success leaves user m interference-free
     in slot m').  Returns two triples: (user m, user m')."""
-    # rows: U_m in slot m, U_m' in slot m, U_m in slot m', U_m' in slot m'
-    gains = rng.standard_exponential((4, trials))
-    m_first = m_second = p_first = p_second = 0
-    for lo in range(0, trials, _BLOCK):
-        g_m_m, g_mp_m, g_m_mp, g_mp_mp = gains[:, lo:lo + _BLOCK]
-        sm1 = primary_success(P, g_m_m, eps)
-        sp1 = secondary_capped_success(P_S, g_mp_m, P, g_m_m, eps)
-        sp2 = primary_success(P, g_mp_mp, eps)
-        sm2 = np.where(sp1,
-                       primary_success(P_S, g_m_mp, eps),
-                       secondary_capped_success(P_S, g_m_mp, P, g_mp_mp, eps))
-        m_first += np.count_nonzero(sm1)
-        m_second += np.count_nonzero(~sm1 & sm2)
-        p_first += np.count_nonzero(sp1)
-        p_second += np.count_nonzero(~sp1 & sp2)
-    return (_partition(trials, m_first, m_second),
-            _partition(trials, p_first, p_second))
+    # rows: U_m in slot m, U_m' in slot m, U_m in slot m', U_m' in slot m';
+    # the one float row held is g_m_m, then g_m_mp in its place
+    buf = np.empty(min(trials, _BLOCK))
+    sm1, sp1 = np.empty(trials, dtype=bool), np.empty(trials, dtype=bool)
+    g_m_m = rng.standard_exponential(trials)
+    for rows, g_mp_m in _blocks(rng, trials, buf):
+        sm1[rows] = primary_success(P, g_m_m[rows], eps)
+        sp1[rows] = secondary_capped_success(P_S, g_mp_m, P, g_m_m[rows], eps)
+    g_m_mp = rng.standard_exponential(out=g_m_m)
+    m_second = p_second = 0
+    for rows, g_mp_mp in _blocks(rng, trials, buf):
+        sp1_b = sp1[rows]
+        # U_m's retry: interference-free if U_m' is silent, else capped
+        sm2 = ((sp1_b & primary_success(P_S, g_m_mp[rows], eps))
+               | (~sp1_b & secondary_capped_success(P_S, g_m_mp[rows], P,
+                                                    g_mp_mp, eps)))
+        m_second += np.count_nonzero(~sm1[rows] & sm2)
+        p_second += np.count_nonzero(~sp1_b & primary_success(P, g_mp_mp, eps))
+    return (_partition(trials, np.count_nonzero(sm1), m_second),
+            _partition(trials, np.count_nonzero(sp1), p_second))
 
 
 def renewal_aoi(events_by_user: dict[int, tuple[np.ndarray, np.ndarray]],

@@ -17,6 +17,17 @@ slot m'), an exact multiple of T^2/2.  The only state crossing frames is the
 origin and CR-NOMA/GAW's one-frame ``pending`` retry, so frames are drawn and
 integrated in fixed chunks and memory does not grow with the horizon.
 
+Slots are counted from the start of frame -1, so every origin is >= 0 (the
+earliest, user m' of the last pair under GAR, is 0) and a slot without a
+delivery can stand as origin 0: its candidate is ``(frame start + offset) *
+delivered``, and the running maximum ignores it.  The areas depend only on
+frame start minus origin, so the shift cancels.  The kernel takes no
+data-dependent branch: near 0 dB a delivery mask is close to random, so
+``np.where`` on it mispredicts (choosing between two bool arrays, it ran
+about 10x slower than ``(mask & a) | (~mask & b)``).  Each chunk's gains are
+copied once into four contiguous rows, which every (scheme, R, P, P_S) then
+classifies at unit stride.
+
 :func:`run_many` draws each chunk's gains once for configs sharing M, model,
 horizon and seed, and classifies them per (scheme, R, P, P_S); T only scales
 the integer areas.  :func:`run` is ``run_many`` of one config.
@@ -37,7 +48,6 @@ from .model import (SystemConfig, draw_gains, primary_success,
 
 N_BATCHES = 20
 CHUNK_FRAMES = 1 << 15
-_NO_DELIVERY = np.iinfo(np.int64).min   # candidate origin of a silent slot
 
 
 @dataclass(frozen=True)
@@ -53,21 +63,21 @@ class AoiReport:
 def _pair_outcomes(cfg: SystemConfig, m: int, gains: np.ndarray, pending: bool):
     """Classify consecutive frames for the pair (U_m, U_m').
 
-    ``gains`` has shape (frames, 4): columns are U_m and U_m' in slot m, then
-    U_m and U_m' in slot m' = m + M/2.  ``pending`` says whether U_m' failed
-    its primary in the frame before ``gains[0]`` (used by CR-NOMA/GAW only).
-    Returns, for U_m then U_m', ``(at_m, at_mp, (reset_m, reset_mp))``: the
-    delivery masks at slot m and at slot m', and the age in slots that a
-    delivery in each slot resets to.  The age at t=0 is the reset age of the
-    user's own slot.
+    ``gains`` has shape (4, frames), one contiguous row per gain: U_m and U_m'
+    in slot m, then U_m and U_m' in slot m' = m + M/2.  ``pending`` says
+    whether U_m' failed its primary in the frame before the first column
+    (used by CR-NOMA/GAW only).  Returns, for U_m then U_m', ``(at_m, at_mp,
+    (reset_m, reset_mp))``: the delivery masks at slot m and at slot m', and
+    the age in slots that a delivery in each slot resets to.  The age at t=0
+    is the reset age of the user's own slot.
     """
     M, eps, P, P_S = cfg.M, cfg.eps, cfg.P, cfg.P_S
     mp = m + M // 2
     resets = (1, 1) if cfg.gen_model == "GAW" else (m, mp)
-    g_m_m, g_mp_m, g_m_mp, g_mp_mp = gains.T
+    g_m_m, g_mp_m, g_m_mp, g_mp_mp = gains
 
     if cfg.scheme == "TDMA":
-        never = np.zeros(len(gains), dtype=bool)
+        never = np.zeros(gains.shape[1], dtype=bool)
         masks = ((primary_success(P, g_m_m, eps), never),
                  (never, primary_success(P, g_mp_mp, eps)))
     elif cfg.gen_model == "GAW":
@@ -78,7 +88,7 @@ def _pair_outcomes(cfg: SystemConfig, m: int, gains: np.ndarray, pending: bool):
         # U_m': primary in slot m' every frame; on failure, secondary in
         # slot m of the NEXT frame with a fresh update.
         s3 = primary_success(P, g_mp_mp, eps)
-        retry = np.empty(len(gains), dtype=bool)
+        retry = np.empty(gains.shape[1], dtype=bool)
         retry[0] = pending
         retry[1:] = ~s3[:-1]
         s2 = secondary_capped_success(P_S, g_mp_m, P, g_m_m, eps)
@@ -89,10 +99,10 @@ def _pair_outcomes(cfg: SystemConfig, m: int, gains: np.ndarray, pending: bool):
         sm1 = primary_success(P, g_m_m, eps)                         # U_m primary, slot m
         sp1 = secondary_capped_success(P_S, g_mp_m, P, g_m_m, eps)   # U_m' secondary, slot m
         sp2 = primary_success(P, g_mp_mp, eps)                       # U_m' retry, slot m'
-        # U_m's retry in slot m': capped if U_m' retransmits, interference-free if silent
-        sm2 = np.where(sp1,
-                       primary_success(P_S, g_m_mp, eps),
-                       secondary_capped_success(P_S, g_m_mp, P, g_mp_mp, eps))
+        # U_m's retry in slot m': interference-free if U_m' is silent, capped
+        # if it retransmits (chosen bitwise: np.where on a bool mask branches)
+        sm2 = ((sp1 & primary_success(P_S, g_m_mp, eps))
+               | (~sp1 & secondary_capped_success(P_S, g_m_mp, P, g_mp_mp, eps)))
         masks = ((sm1, ~sm1 & sm2), (sp1, ~sp1 & sp2))
     return [(at_m, at_mp, resets) for at_m, at_mp in masks]
 
@@ -151,25 +161,30 @@ def run_many(configs: list[SystemConfig]) -> list[AoiReport]:
     # twice each user's area per batch, in slot^2; Python ints cannot overflow
     areas = {key: [[0] * N_BATCHES for _ in range(M)] for key in keyed}
     for m, rng in _pair_rngs(first):
-        # at t=0 each age is the reset age of the user's own slot
-        origins = {key: [-1, -1] if first.gen_model == "GAW" else [-m, -m - h]
-                   for key in keyed}
+        # slots counted from the start of frame -1; at t=0 each age is the
+        # reset age of the user's own slot
+        origins = {key: [M - 1, M - 1] if first.gen_model == "GAW"
+                   else [M - m, M - m - h] for key in keyed}
         pending = dict.fromkeys(keyed, False)
         for start, n, batch in _chunks(first):
-            gains = draw_gains(rng, (n, 4))
-            base = (start + np.arange(n, dtype=np.int64)) * M
-            sum_base = M * (n * start + n * (n - 1) // 2)
+            gains = np.ascontiguousarray(draw_gains(rng, (n, 4)).T)
+            base = (start + 1 + np.arange(n, dtype=np.int64)) * M
+            sum_base = M * (n * (start + 1) + n * (n - 1) // 2)
             for key, cfg in keyed.items():
                 outcomes = _pair_outcomes(cfg, m, gains, pending[key])
                 # U_m' retries in the next frame iff its last slot-m' primary failed
                 pending[key] = not outcomes[1][1][-1]
                 origin = origins[key]
                 for u, (at_m, at_mp, (r_m, r_mp)) in enumerate(outcomes):
-                    # origin after slot m, then after slot m', of every frame
-                    o_m = np.where(at_m, base + (m - r_m), _NO_DELIVERY)
+                    # origin after slot m, then after slot m', of every frame;
+                    # 0 (no later than any origin) stands for no delivery
+                    o_m = base + (m - r_m)
+                    o_m *= at_m
                     o_m[0] = max(o_m[0], origin[u])
-                    o_mp = np.maximum.accumulate(np.maximum(
-                        o_m, np.where(at_mp, base + (m + h - r_mp), _NO_DELIVERY)))
+                    o_mp = base + (m + h - r_mp)
+                    o_mp *= at_mp
+                    np.maximum(o_mp, o_m, out=o_mp)
+                    np.maximum.accumulate(o_mp, out=o_mp)
                     np.maximum(o_m[1:], o_mp[:-1], out=o_m[1:])
                     s_m, s_mp = int(o_m.sum()), int(o_mp.sum())
                     last = int(o_mp[-1])
@@ -213,7 +228,8 @@ def deliveries(config: SystemConfig) -> dict[int, tuple[np.ndarray, np.ndarray]]
         pending = False
         for start in range(0, config.frames, CHUNK_FRAMES):
             n = min(CHUNK_FRAMES, config.frames - start)
-            outcomes = _pair_outcomes(config, m, draw_gains(rng, (n, 4)), pending)
+            gains = np.ascontiguousarray(draw_gains(rng, (n, 4)).T)
+            outcomes = _pair_outcomes(config, m, gains, pending)
             pending = not outcomes[1][1][-1]
             # ends of slots m and m' of every frame; row-major order is time order
             frame_start = np.arange(start, start + n, dtype=np.float64)[:, None] * M

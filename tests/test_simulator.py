@@ -1,12 +1,15 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from crnoma_aoi import analytic, oracle, simulator
-from crnoma_aoi.model import SystemConfig, db_to_linear, draw_gains, epsilon_of
+from crnoma_aoi.model import (GEN_MODELS, SCHEMES, SystemConfig, db_to_linear,
+                              draw_gains, epsilon_of)
 from crnoma_aoi.simulator import deliveries, run, run_many
 
 EPS1 = 1.0
@@ -121,8 +124,9 @@ class TestKernel:
         assert np.array_equal(np.concatenate(parts), whole)
 
     def test_memory_bounded(self):
-        # chunked frames: about 2 MiB here, where event arrays for this
-        # horizon would take hundreds of MiB
+        # chunked frames: about 4.6 MiB here (the chunk's gains, drawn and
+        # copied into contiguous rows, and its origin arrays), where event
+        # arrays for this horizon would take hundreds of MiB
         tracemalloc.start()
         try:
             run(cfg(M=8, frames=2_000_000, warmup=100))
@@ -191,6 +195,57 @@ class TestRunMany:
     def test_rejects_empty_list(self):
         with pytest.raises(ValueError):
             run_many([])
+
+
+@st.composite
+def shared_draws(draw):
+    """(chunk size, configs): one to three configs sharing M, model, horizon
+    and seed, each with its own scheme, T, R and P != P_S; the horizon is not
+    a multiple of 20 frames and neither is its post-warm-up window."""
+    M = draw(st.sampled_from(range(2, 13, 2)))
+    gen_model = draw(st.sampled_from(GEN_MODELS))
+    warmup = draw(st.integers(0, 30))
+    used = draw(st.integers(21, 160).filter(lambda n: n % 20))
+    assume((warmup + used) % 20)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    snr_db = st.floats(-10.0, 30.0)
+    configs = []
+    for _ in range(draw(st.integers(1, 3))):
+        P, P_S = db_to_linear(draw(snr_db)), db_to_linear(draw(snr_db))
+        assume(P != P_S)
+        configs.append(SystemConfig(
+            M=M, T=draw(st.floats(0.1, 5.0)), R=draw(st.floats(0.0, 3.0)),
+            P=P, P_S=P_S, scheme=draw(st.sampled_from(SCHEMES)),
+            gen_model=gen_model, frames=warmup + used, warmup_frames=warmup,
+            seed=seed))
+    return draw(st.integers(2, 40)), configs
+
+
+class TestDifferential:
+    """Randomized checks of the chunked kernel, with CHUNK_FRAMES small so
+    that origins and the ``pending`` retry cross many chunk edges."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(shared_draws())
+    def test_run_matches_renewal_oracle(self, draws):
+        chunk, configs = draws
+        with mock.patch.object(simulator, "CHUNK_FRAMES", chunk):
+            for c in configs:
+                expect = oracle.renewal_aoi(deliveries(c),
+                                            c.frames * c.frame_duration,
+                                            c.warmup_frames * c.frame_duration)
+                got = run(c).per_user_aoi
+                for k in range(c.M):
+                    assert abs(got[k] - expect[k + 1]) <= 1e-9 * max(1.0, expect[k + 1])
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(shared_draws(), st.data())
+    def test_run_many_of_a_subset_equals_run(self, draws, data):
+        chunk, configs = draws
+        subset = data.draw(st.lists(st.sampled_from(configs), min_size=1,
+                                    max_size=len(configs) + 1))
+        with mock.patch.object(simulator, "CHUNK_FRAMES", chunk):
+            assert run_many(subset) == [run(c) for c in subset]
 
 
 class TestDeterminism:
