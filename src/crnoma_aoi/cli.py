@@ -61,18 +61,19 @@ _SPEC_KEYS = {
 
 
 def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
-    """Precedence: flag > config file > preset > defaults."""
-    spec = preset_spec(args.preset) if args.preset else ExperimentSpec()
-    if args.config:
-        overrides = {}
-        for key, raw in _load_config_file(args.config).items():
-            if key == "preset":
-                spec = preset_spec(raw)
-            elif key in _SPEC_KEYS:
-                overrides[key] = _SPEC_KEYS[key][1].get("type", str)(raw)
-            else:
-                raise ValueError(f"unknown config key {key!r}")
-        spec = replace(spec, **overrides)
+    """Precedence: flag > config file > preset > defaults; the --preset flag
+    beats the file's ``preset``."""
+    values = _load_config_file(args.config) if args.config else {}
+    file_preset = values.pop("preset", None)
+    spec = preset_spec(file_preset) if file_preset else ExperimentSpec()
+    if args.preset:
+        spec = preset_spec(args.preset)
+    overrides = {}
+    for key, raw in values.items():
+        if key not in _SPEC_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+        overrides[key] = _SPEC_KEYS[key][1].get("type", str)(raw)
+    spec = replace(spec, **overrides)
     flags = {key: getattr(args, key) for key in _SPEC_KEYS}
     return replace(spec, **{k: v for k, v in flags.items() if v is not None})
 

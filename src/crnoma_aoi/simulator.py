@@ -14,8 +14,9 @@ A delivery never raises the age, so o never decreases, and the origin after
 each slot is a running maximum over the deliveries so far.  A frame's area is
 then linear in three integer origins (at frame start, after slot m, after
 slot m'), an exact multiple of T^2/2.  The only state crossing frames is the
-origin and CR-NOMA/GAW's one-frame ``pending`` retry, so frames are drawn and
-integrated in fixed chunks and memory does not grow with the horizon.
+origin and the previous frame's U_m' slot-m' gain, which decides CR-NOMA/GAW's
+retry in slot m, so frames are drawn and integrated in fixed chunks and memory
+does not grow with the horizon.
 
 Slots are counted from the start of frame -1, so every origin is >= 0 (the
 earliest, user m' of the last pair under GAR, is 0) and a slot without a
@@ -28,13 +29,14 @@ about 10x slower than ``(mask & a) | (~mask & b)``).  Each chunk's gains are
 copied once into four contiguous rows, which every (scheme, R, P, P_S) then
 classifies at unit stride.
 
-:func:`run_many` draws each chunk's gains once for configs sharing M, model,
-horizon and seed, and classifies them per (scheme, R, P, P_S); T only scales
-the integer areas.  :func:`run` is ``run_many`` of one config.
-
-:func:`deliveries` returns the same deliveries as arrays, per user, from the
-same draws and classification, for :func:`crnoma_aoi.oracle.renewal_aoi` to
-integrate independently.
+One walk, :func:`_walk`, spawns the per-pair generators, cuts the horizon
+into chunks, draws each chunk's gains and states each pair's reset ages.
+:func:`run_many` and :func:`deliveries` consume it.  :func:`run_many` shares
+each chunk's gains among configs with the same M, model, horizon and seed,
+and classifies them per (scheme, R, P, P_S); T only scales the integer areas.
+:func:`run` is ``run_many`` of one config.  :func:`deliveries` returns the
+same deliveries as arrays, per user, for
+:func:`crnoma_aoi.oracle.renewal_aoi` to integrate independently.
 """
 
 from __future__ import annotations
@@ -60,20 +62,17 @@ class AoiReport:
     overall_halfwidth: float
 
 
-def _pair_outcomes(cfg: SystemConfig, m: int, gains: np.ndarray, pending: bool):
+def _pair_outcomes(cfg: SystemConfig, gains: np.ndarray, prev: float):
     """Classify consecutive frames for the pair (U_m, U_m').
 
     ``gains`` has shape (4, frames), one contiguous row per gain: U_m and U_m'
-    in slot m, then U_m and U_m' in slot m' = m + M/2.  ``pending`` says
-    whether U_m' failed its primary in the frame before the first column
-    (used by CR-NOMA/GAW only).  Returns, for U_m then U_m', ``(at_m, at_mp,
-    (reset_m, reset_mp))``: the delivery masks at slot m and at slot m', and
-    the age in slots that a delivery in each slot resets to.  The age at t=0
-    is the reset age of the user's own slot.
+    in slot m, then U_m and U_m' in slot m' = m + M/2.  ``prev`` is U_m''s
+    slot-m' gain in the frame before the first column (``inf`` before frame
+    0); CR-NOMA/GAW reads it to decide U_m''s retry in the first column.
+    Returns, for U_m then U_m', ``(at_m, at_mp)``: the delivery masks at
+    slot m and at slot m'.
     """
-    M, eps, P, P_S = cfg.M, cfg.eps, cfg.P, cfg.P_S
-    mp = m + M // 2
-    resets = (1, 1) if cfg.gen_model == "GAW" else (m, mp)
+    eps, P, P_S = cfg.eps, cfg.P, cfg.P_S
     g_m_m, g_mp_m, g_m_mp, g_mp_mp = gains
 
     if cfg.scheme == "TDMA":
@@ -89,7 +88,7 @@ def _pair_outcomes(cfg: SystemConfig, m: int, gains: np.ndarray, pending: bool):
         # slot m of the NEXT frame with a fresh update.
         s3 = primary_success(P, g_mp_mp, eps)
         retry = np.empty(gains.shape[1], dtype=bool)
-        retry[0] = pending
+        retry[0] = not primary_success(P, prev, eps)
         retry[1:] = ~s3[:-1]
         s2 = secondary_capped_success(P_S, g_mp_m, P, g_m_m, eps)
         masks = ((s1, ~s1 & s4), (retry & s2, s3))
@@ -104,16 +103,7 @@ def _pair_outcomes(cfg: SystemConfig, m: int, gains: np.ndarray, pending: bool):
         sm2 = ((sp1 & primary_success(P_S, g_m_mp, eps))
                | (~sp1 & secondary_capped_success(P_S, g_m_mp, P, g_mp_mp, eps)))
         masks = ((sm1, ~sm1 & sm2), (sp1, ~sp1 & sp2))
-    return [(at_m, at_mp, resets) for at_m, at_mp in masks]
-
-
-def _pair_rngs(config: SystemConfig):
-    """One generator per pair, split deterministically from config.seed via
-    ``numpy.random.SeedSequence(seed).spawn``, so results do not depend on
-    the order in which pairs are processed."""
-    children = np.random.SeedSequence(config.seed).spawn(config.M // 2)
-    return [(m, np.random.default_rng(child))
-            for m, child in enumerate(children, start=1)]
+    return masks
 
 
 def _batch_edges(config: SystemConfig) -> list[int]:
@@ -134,6 +124,26 @@ def _chunks(config: SystemConfig):
             yield start, min(CHUNK_FRAMES, hi - start), batch
 
 
+def _walk(config: SystemConfig):
+    """Yield ``(m, resets, start, n, batch, gains, prev)`` for each pair
+    (U_m, U_m') in order of m and each of its :func:`_chunks` in order.
+    ``resets`` are the ages in slots that a delivery in slot m and in slot m'
+    resets to; at t=0 each user's age is the reset age of its own slot.
+    ``gains`` is the chunk's draw as four contiguous rows, and ``prev`` is as
+    in :func:`_pair_outcomes`.  Each pair has its own generator, split from
+    config.seed by ``numpy.random.SeedSequence(seed).spawn``, so results do
+    not depend on the order in which pairs are processed."""
+    h = config.M // 2
+    for m, child in enumerate(np.random.SeedSequence(config.seed).spawn(h), start=1):
+        rng = np.random.default_rng(child)
+        resets = (1, 1) if config.gen_model == "GAW" else (m, m + h)
+        prev = np.inf
+        for start, n, batch in _chunks(config):
+            gains = np.ascontiguousarray(draw_gains(rng, (n, 4)).T)
+            yield m, resets, start, n, batch, gains, prev
+            prev = gains[3, -1]
+
+
 def run(config: SystemConfig) -> AoiReport:
     """Simulate ``config`` and return the exact time-average AoI per user over
     the post-warm-up window, with half-widths of 3 standard errors over
@@ -146,7 +156,7 @@ def run_many(configs: list[SystemConfig]) -> list[AoiReport]:
     """Simulate configs that share (M, gen_model, frames, warmup_frames, seed)
     on common gain draws; return one report per config, equal to its
     :func:`run`.  Each distinct (scheme, R, P, P_S) is integrated once, with
-    its own origins and ``pending`` bit; T is applied only at the end."""
+    its own origins; T is applied only at the end."""
     if len({(c.M, c.gen_model, c.frames, c.warmup_frames, c.seed)
             for c in configs}) != 1:
         raise ValueError("run_many needs one or more configs sharing M, "
@@ -160,42 +170,35 @@ def run_many(configs: list[SystemConfig]) -> list[AoiReport]:
     keyed = {(c.scheme, c.R, c.P, c.P_S): c for c in configs}
     # twice each user's area per batch, in slot^2; Python ints cannot overflow
     areas = {key: [[0] * N_BATCHES for _ in range(M)] for key in keyed}
-    for m, rng in _pair_rngs(first):
-        # slots counted from the start of frame -1; at t=0 each age is the
-        # reset age of the user's own slot
-        origins = {key: [M - 1, M - 1] if first.gen_model == "GAW"
-                   else [M - m, M - m - h] for key in keyed}
-        pending = dict.fromkeys(keyed, False)
-        for start, n, batch in _chunks(first):
-            gains = np.ascontiguousarray(draw_gains(rng, (n, 4)).T)
-            base = (start + 1 + np.arange(n, dtype=np.int64)) * M
-            sum_base = M * (n * (start + 1) + n * (n - 1) // 2)
-            for key, cfg in keyed.items():
-                outcomes = _pair_outcomes(cfg, m, gains, pending[key])
-                # U_m' retries in the next frame iff its last slot-m' primary failed
-                pending[key] = not outcomes[1][1][-1]
-                origin = origins[key]
-                for u, (at_m, at_mp, (r_m, r_mp)) in enumerate(outcomes):
-                    # origin after slot m, then after slot m', of every frame;
-                    # 0 (no later than any origin) stands for no delivery
-                    o_m = base + (m - r_m)
-                    o_m *= at_m
-                    o_m[0] = max(o_m[0], origin[u])
-                    o_mp = base + (m + h - r_mp)
-                    o_mp *= at_mp
-                    np.maximum(o_mp, o_m, out=o_mp)
-                    np.maximum.accumulate(o_mp, out=o_mp)
-                    np.maximum(o_m[1:], o_mp[:-1], out=o_m[1:])
-                    s_m, s_mp = int(o_m.sum()), int(o_mp.sum())
-                    last = int(o_mp[-1])
-                    s_start = origin[u] + s_mp - last
-                    origin[u] = last
-                    if batch >= 0:
-                        # per frame, sum over its segments [a, b] of
-                        # (b - a)(a + b - 2 o) = M^2 + 2 (m d0 + h d1 + (h - m) d2)
-                        # with d = frame start - origin of the segment
-                        areas[key][(m - 1) + u * h][batch] += n * M * M + 2 * (
-                            M * sum_base - m * s_start - h * s_m - (h - m) * s_mp)
+    for m, (r_m, r_mp), start, n, batch, gains, prev in _walk(first):
+        if start == 0:
+            # a pair's first chunk; slots counted from the start of frame -1
+            origins = {key: [M - r_m, M - r_mp] for key in keyed}
+        base = (start + 1 + np.arange(n, dtype=np.int64)) * M
+        sum_base = M * (n * (start + 1) + n * (n - 1) // 2)
+        for key, cfg in keyed.items():
+            origin = origins[key]
+            for u, (at_m, at_mp) in enumerate(_pair_outcomes(cfg, gains, prev)):
+                # origin after slot m, then after slot m', of every frame;
+                # 0 (no later than any origin) stands for no delivery
+                o_m = base + (m - r_m)
+                o_m *= at_m
+                o_m[0] = max(o_m[0], origin[u])
+                o_mp = base + (m + h - r_mp)
+                o_mp *= at_mp
+                np.maximum(o_mp, o_m, out=o_mp)
+                np.maximum.accumulate(o_mp, out=o_mp)
+                np.maximum(o_m[1:], o_mp[:-1], out=o_m[1:])
+                s_m, s_mp = int(o_m.sum()), int(o_mp.sum())
+                last = int(o_mp[-1])
+                s_start = origin[u] + s_mp - last
+                origin[u] = last
+                if batch >= 0:
+                    # per frame, sum over its segments [a, b] of
+                    # (b - a)(a + b - 2 o) = M^2 + 2 (m d0 + h d1 + (h - m) d2)
+                    # with d = frame start - origin of the segment
+                    areas[key][(m - 1) + u * h][batch] += n * M * M + 2 * (
+                        M * sum_base - m * s_start - h * s_m - (h - m) * s_mp)
     return [_report(c, areas[(c.scheme, c.R, c.P, c.P_S)]) for c in configs]
 
 
@@ -219,27 +222,21 @@ def deliveries(config: SystemConfig) -> dict[int, tuple[np.ndarray, np.ndarray]]
     """Simulate the full horizon from the same draws and classification as
     :func:`run` and return user -> (delivery times, reset ages), users in
     ascending order: each user's synthetic t=0 record at the reset age of its
-    own slot, then its deliveries in time order.  Each pair's CHUNK_FRAMES
-    block is drawn and classified once for both users."""
+    own slot, then its deliveries in time order.  Each chunk of
+    :func:`_walk` is classified once for both users of its pair."""
     M, h, T = config.M, config.M // 2, config.T
     times: dict[int, list] = {}
     ages: dict[int, list] = {}
-    for m, rng in _pair_rngs(config):
-        pending = False
-        for start in range(0, config.frames, CHUNK_FRAMES):
-            n = min(CHUNK_FRAMES, config.frames - start)
-            gains = np.ascontiguousarray(draw_gains(rng, (n, 4)).T)
-            outcomes = _pair_outcomes(config, m, gains, pending)
-            pending = not outcomes[1][1][-1]
-            # ends of slots m and m' of every frame; row-major order is time order
-            frame_start = np.arange(start, start + n, dtype=np.float64)[:, None] * M
-            ends = (frame_start + (m, m + h)) * T
-            for u, (at_m, at_mp, resets) in enumerate(outcomes):
-                user = m + u * h
-                if start == 0:
-                    times[user], ages[user] = [np.zeros(1)], [np.array([resets[u] * T])]
-                frames, cols = np.nonzero(np.column_stack((at_m, at_mp)))
-                times[user].append(ends[frames, cols])
-                ages[user].append(np.multiply(resets, T)[cols])
+    for m, resets, start, n, _batch, gains, prev in _walk(config):
+        # ends of slots m and m' of every frame; row-major order is time order
+        frame_start = np.arange(start, start + n, dtype=np.float64)[:, None] * M
+        ends = (frame_start + (m, m + h)) * T
+        for u, masks in enumerate(_pair_outcomes(config, gains, prev)):
+            user = m + u * h
+            if start == 0:
+                times[user], ages[user] = [np.zeros(1)], [np.array([resets[u] * T])]
+            frames, cols = np.nonzero(np.column_stack(masks))
+            times[user].append(ends[frames, cols])
+            ages[user].append(np.multiply(resets, T)[cols])
     return {user: (np.concatenate(times[user]), np.concatenate(ages[user]))
             for user in sorted(times)}

@@ -350,6 +350,13 @@ class TestCliMain:
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 1 + 2  # both schemes at one SNR, one T
 
+    def test_preset_flag_beats_config_file_preset(self, tmp_path, capsys):
+        conf = tmp_path / "exp.conf"
+        conf.write_text("preset=fig4b\noutputs=analytic\n")
+        assert main(["run", "--preset", "fig4a", "--config", str(conf)]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert rows and all(row.startswith("fig4a,") for row in rows)
+
     def test_empty_users_clears_preset_users(self, capsys):
         args = ["run", "--preset", "fig6a", "--gen-model", "GAW", "--analytic-only"]
         with pytest.raises(SystemExit):

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import tracemalloc
 from dataclasses import replace
@@ -135,10 +137,12 @@ class TestKernel:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
 
-    def test_event_log_memory_bounded(self):
+    def test_event_log_memory_bounded(self, monkeypatch):
         # deliveries are drawn and classified in chunks: a 4x longer horizon
-        # must not raise the peak (gains held in full, it grew about 4x); at
-        # -20 dB few frames deliver, which keeps the traced run short
+        # must not raise the peak (gains held in full, it grew about 4x); the
+        # chunk cap is below both horizons' batch lengths, so both chunk at
+        # it; at -20 dB few frames deliver, which keeps the traced run short
+        monkeypatch.setattr(simulator, "CHUNK_FRAMES", 4096)
         peaks = []
         for frames in (100_000, 400_000):
             c = cfg(scheme="CR-NOMA", M=4, snr_db=-20.0, frames=frames)
@@ -151,9 +155,11 @@ class TestKernel:
         assert peaks[1] < 1.5 * peaks[0]
 
     def test_event_log_draws_once_per_pair_and_block(self, monkeypatch):
-        # one pass: each of the 2 pairs draws its 5 blocks of at most 7
-        # frames once for both users, and the arrays match an unchunked call
-        c = cfg(scheme="CR-NOMA", M=4, frames=30, warmup=0)
+        # one pass: each of the 2 pairs draws each of its chunks once for
+        # both users (the 20-frame warm-up in blocks of at most 7 frames, then
+        # one per batch), and the arrays match a call that draws the warm-up
+        # in one block
+        c = cfg(scheme="CR-NOMA", M=4, frames=50, warmup=20)
         whole = deliveries(c)
         calls = []
 
@@ -165,11 +171,77 @@ class TestKernel:
         monkeypatch.setattr(simulator, "CHUNK_FRAMES", 7)
         monkeypatch.setattr(simulator, "draw_gains", counting)
         chunked = deliveries(c)
-        assert len(calls) == 2 * 5
+        assert len(calls) == c.M // 2 * len(list(simulator._chunks(c))) == 2 * 23
         assert list(chunked) == list(whole)
         for user, (times, ages) in whole.items():
             assert np.array_equal(chunked[user][0], times)
             assert np.array_equal(chunked[user][1], ages)
+
+
+class TestWalk:
+    def test_one_function_draws_gains(self):
+        # the per-pair generators, the chunk walk, the gain draw and the t=0
+        # state are said once, in the walk that run_many and deliveries share
+        tree = ast.parse(inspect.getsource(simulator))
+        callers = [fn.name for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef)
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.Name) and node.id == "draw_gains"]
+        assert callers == ["_walk"]
+
+    def test_no_retry_before_frame_0(self):
+        # under CR-NOMA/GAW, U_m' retries in slot m only after failing slot m'
+        # of the frame before, so nothing is pending at t=0 and no user m'
+        # delivers at the end of slot m of frame 0; with a retry pending at
+        # t=0, 15 of these 40 pairs deliver there
+        M = 8
+        for seed in range(10):
+            c = cfg(scheme="CR-NOMA", M=M, T=0.5, snr_db=20.0, frames=40,
+                    warmup=0, seed=seed)
+            events = deliveries(c)
+            for m in range(1, M // 2 + 1):
+                times, _ages = events[m + M // 2]
+                assert m * c.T not in times[1:]
+
+
+class TestMetamorphic:
+    """Relations that hold exactly on common draws (M=6, T=0.7, 5003 frames,
+    warm-up 17, seed 11)."""
+
+    @staticmethod
+    def run_at(scheme, gen_model, T=0.7, R=1.0, P=1.0, P_S=1.0):
+        return run(SystemConfig(M=6, T=T, R=R, P=P, P_S=P_S, scheme=scheme,
+                                gen_model=gen_model, frames=5003,
+                                warmup_frames=17, seed=11))
+
+    @pytest.mark.parametrize("gen", GEN_MODELS)
+    def test_tdma_ignores_secondary_power(self, gen):
+        assert (self.run_at("TDMA", gen, P_S=2.0)
+                == self.run_at("TDMA", gen, P_S=0.1))
+
+    @pytest.mark.parametrize("gen", GEN_MODELS)
+    @pytest.mark.parametrize("P", [0.3, 1.0, 10.0])
+    def test_crnoma_without_secondary_power_is_tdma(self, gen, P):
+        # no attempt at P_S = 1e-300 can succeed
+        assert (self.run_at("CR-NOMA", gen, P=P, P_S=1e-300)
+                == self.run_at("TDMA", gen, P=P, P_S=1e-300))
+
+    def test_gaw_error_free_crnoma_is_tdma(self):
+        # at R = 0 every primary succeeds, so no second chance is taken
+        assert (self.run_at("CR-NOMA", "GAW", R=0.0)
+                == self.run_at("TDMA", "GAW", R=0.0))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("gen", GEN_MODELS)
+    def test_slot_length_only_scales(self, scheme, gen):
+        unit = self.run_at(scheme, gen, T=1.0)
+        for T in (0.3, 0.7, 1.5, 13.0):
+            r = self.run_at(scheme, gen, T=T)
+            for got, want in ((r.per_user_aoi, unit.per_user_aoi),
+                              (r.per_user_halfwidth, unit.per_user_halfwidth),
+                              ([r.overall_aoi, r.overall_halfwidth],
+                               [unit.overall_aoi, unit.overall_halfwidth])):
+                assert got == pytest.approx([T * w for w in want], rel=1e-12)
 
 
 class TestRunMany:
@@ -223,7 +295,8 @@ def shared_draws(draw):
 
 class TestDifferential:
     """Randomized checks of the chunked kernel, with CHUNK_FRAMES small so
-    that origins and the ``pending`` retry cross many chunk edges."""
+    that origins and the previous frame's U_m' slot-m' gain cross many chunk
+    edges."""
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(shared_draws())
