@@ -13,10 +13,10 @@ is t - o, where the origin o = t_last - reset_age moves only at deliveries.
 A delivery never raises the age, so o never decreases, and the origin after
 each slot is a running maximum over the deliveries so far.  A frame's area is
 then linear in three integer origins (at frame start, after slot m, after
-slot m'), an exact multiple of T^2/2.  The only state crossing frames is the
-origin and the previous frame's U_m' slot-m' gain, which decides CR-NOMA/GAW's
-retry in slot m, so frames are drawn and integrated in fixed chunks and memory
-does not grow with the horizon.
+slot m'), an exact multiple of T^2/2.  The only state crossing frames is
+each (config, pair)'s origins and the previous frame's U_m' slot-m' gain,
+which decides CR-NOMA/GAW's retry in slot m, so frames are drawn and
+integrated in fixed chunks and memory does not grow with the horizon.
 
 Slots are counted from the start of frame -1, so every origin is >= 0 (the
 earliest, user m' of the last pair under GAR, is 0) and a slot without a
@@ -36,7 +36,8 @@ each chunk's gains among configs with the same M, model, horizon and seed,
 and classifies them per (scheme, R, P, P_S); T only scales the integer areas.
 :func:`run` is ``run_many`` of one config.  :func:`deliveries` returns the
 same deliveries as arrays, per user, for
-:func:`crnoma_aoi.oracle.renewal_aoi` to integrate independently.
+:func:`crnoma_aoi.oracle.renewal_aoi` to integrate independently: integer
+slot ends, multiplied by T once, of only the chunks that deliver.
 """
 
 from __future__ import annotations
@@ -170,14 +171,12 @@ def run_many(configs: list[SystemConfig]) -> list[AoiReport]:
     keyed = {(c.scheme, c.R, c.P, c.P_S): c for c in configs}
     # twice each user's area per batch, in slot^2; Python ints cannot overflow
     areas = {key: [[0] * N_BATCHES for _ in range(M)] for key in keyed}
+    origins: dict = {}   # (key, m) -> U_m's and U_m''s origin, in slots
     for m, (r_m, r_mp), start, n, batch, gains, prev in _walk(first):
-        if start == 0:
-            # a pair's first chunk; slots counted from the start of frame -1
-            origins = {key: [M - r_m, M - r_mp] for key in keyed}
         base = (start + 1 + np.arange(n, dtype=np.int64)) * M
         sum_base = M * (n * (start + 1) + n * (n - 1) // 2)
         for key, cfg in keyed.items():
-            origin = origins[key]
+            origin = origins.setdefault((key, m), [M - r_m, M - r_mp])
             for u, (at_m, at_mp) in enumerate(_pair_outcomes(cfg, gains, prev)):
                 # origin after slot m, then after slot m', of every frame;
                 # 0 (no later than any origin) stands for no delivery
@@ -222,21 +221,19 @@ def deliveries(config: SystemConfig) -> dict[int, tuple[np.ndarray, np.ndarray]]
     """Simulate the full horizon from the same draws and classification as
     :func:`run` and return user -> (delivery times, reset ages), users in
     ascending order: each user's synthetic t=0 record at the reset age of its
-    own slot, then its deliveries in time order.  Each chunk of
-    :func:`_walk` is classified once for both users of its pair."""
+    own slot, then its deliveries in time order, from the chunks of
+    :func:`_walk` in which it delivers (each classified once per pair)."""
     M, h, T = config.M, config.M // 2, config.T
-    times: dict[int, list] = {}
-    ages: dict[int, list] = {}
+    records: dict[int, tuple[list, list]] = {}
     for m, resets, start, n, _batch, gains, prev in _walk(config):
         # ends of slots m and m' of every frame; row-major order is time order
-        frame_start = np.arange(start, start + n, dtype=np.float64)[:, None] * M
-        ends = (frame_start + (m, m + h)) * T
+        ends = ((start + np.arange(n))[:, None] * M + (m, m + h)) * T
+        ages = np.broadcast_to(np.multiply(resets, T), ends.shape)
         for u, masks in enumerate(_pair_outcomes(config, gains, prev)):
-            user = m + u * h
-            if start == 0:
-                times[user], ages[user] = [np.zeros(1)], [np.array([resets[u] * T])]
-            frames, cols = np.nonzero(np.column_stack(masks))
-            times[user].append(ends[frames, cols])
-            ages[user].append(np.multiply(resets, T)[cols])
-    return {user: (np.concatenate(times[user]), np.concatenate(ages[user]))
-            for user in sorted(times)}
+            times, user_ages = records.setdefault(
+                m + u * h, ([np.zeros(1)], [np.array([resets[u] * T])]))
+            hit = np.column_stack(masks)
+            if hit.any():
+                times.append(ends[hit])
+                user_ages.append(ages[hit])
+    return {u: tuple(map(np.concatenate, records[u])) for u in sorted(records)}

@@ -53,10 +53,16 @@ class TestWindowedAverage:
         # under GAR user k starts at age k*T (the reset age of its own slot)
         M, T, F = 6, 0.5, 997
         for scheme in ("TDMA", "CR-NOMA"):
-            r = run(cfg(scheme=scheme, gen_model="GAR", R=self.NEVER, M=M, T=T,
-                        frames=F, warmup=0))
+            c = cfg(scheme=scheme, gen_model="GAR", R=self.NEVER, M=M, T=T,
+                    frames=F, warmup=0)
+            r = run(c)
             for k, a in enumerate(r.per_user_aoi, start=1):
                 assert a == pytest.approx(k * T + F * M * T / 2, rel=1e-12)
+            # no chunk delivers, so each user's record is its t=0 entry alone
+            events = deliveries(c)
+            assert list(events) == list(range(1, M + 1))
+            for k, (times, ages) in events.items():
+                assert times.tolist() == [0.0] and ages.tolist() == [k * T]
 
     def test_warmup_clipping(self):
         # area before the warm-up boundary is discarded exactly
@@ -138,13 +144,16 @@ class TestKernel:
         assert peak < 8 * 2 ** 20
 
     def test_event_log_memory_bounded(self, monkeypatch):
-        # deliveries are drawn and classified in chunks: a 4x longer horizon
-        # must not raise the peak (gains held in full, it grew about 4x); the
-        # chunk cap is below both horizons' batch lengths, so both chunk at
-        # it; at -20 dB few frames deliver, which keeps the traced run short
+        # deliveries are drawn and classified in chunks, and a chunk without
+        # a delivery keeps no array: a 16x longer horizon must not raise the
+        # steady-state peak (keeping two empty arrays per user and chunk, it
+        # grew 2.1x).  The chunk cap is below both horizons' batch lengths, so
+        # both chunk at it; at -20 dB no frame delivers.  One untraced call
+        # first pays the one-time costs, which would inflate the first peak.
         monkeypatch.setattr(simulator, "CHUNK_FRAMES", 4096)
+        deliveries(cfg(scheme="CR-NOMA", M=4, snr_db=-20.0, frames=100_000))
         peaks = []
-        for frames in (100_000, 400_000):
+        for frames in (100_000, 1_600_000):
             c = cfg(scheme="CR-NOMA", M=4, snr_db=-20.0, frames=frames)
             tracemalloc.start()
             try:
@@ -202,6 +211,25 @@ class TestWalk:
             for m in range(1, M // 2 + 1):
                 times, _ages = events[m + M // 2]
                 assert m * c.T not in times[1:]
+
+
+class TestHandBuiltGains:
+    def test_gar_retry_of_user_m_in_slot_mp(self, monkeypatch):
+        # CR-NOMA/GAR, M=2, R=1 (eps=1), P = P_S = 1, T=0.5; the columns are
+        # U_m and U_m' in slot m, then U_m and U_m' in slot m'.  Frame 0: U_m'
+        # delivers in slot m, so U_m retries alone in slot m' and succeeds.
+        # Frame 1: U_m' retries in slot m', so U_m is capped and fails.
+        rows = iter([[0.5, 2.0, 1.2, 2.0], [0.5, 0.1, 1.2, 2.0]])
+        monkeypatch.setattr(simulator, "draw_gains", lambda rng, size: np.array(
+            [next(rows) for _ in range(size[0])]))
+        c = SystemConfig(M=2, T=0.5, R=1.0, P=1.0, P_S=1.0, scheme="CR-NOMA",
+                         gen_model="GAR", frames=2, warmup_frames=0, seed=0)
+        events = deliveries(c)
+        assert list(events) == [1, 2]
+        assert events[1][0].tolist() == [0.0, 1.0]
+        assert events[1][1].tolist() == [0.5, 1.0]
+        assert events[2][0].tolist() == [0.0, 0.5, 2.0]
+        assert events[2][1].tolist() == [1.0, 0.5, 1.0]
 
 
 class TestMetamorphic:
