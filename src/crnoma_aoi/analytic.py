@@ -135,29 +135,23 @@ def delta_k0(m: int, m_prime: int, T: float, part: Partition) -> float:
     return pref * (term_m + term_mp)
 
 
-def crnoma_gar_user_aoi(k: int, m: int, M: int, T: float, eps: float,
-                        P: float, P_S: float) -> float:
-    """User k's average AoI under CR-NOMA with GAR, k in {m, m + M/2}."""
-    m_prime = m + M // 2
-    if not 1 <= m <= M // 2:
-        raise ValueError(f"pair index m must be in 1..{M // 2}, got {m}")
-    if k == m:
-        part = gar_partition_user_m(eps, P, P_S)
-    elif k == m_prime:
-        part = gar_partition_user_mprime(eps, P, P_S)
-    else:
-        raise ValueError(f"k must be {m} or {m_prime}, got {k}")
-    return delta_k0(m, m_prime, T, part) + delta_kernel(*part, M, T)
+def crnoma_gar_user_aoi(k: int, M: int, T: float, eps: float, P: float, P_S: float) -> float:
+    """User k's average AoI under CR-NOMA with GAR: k <= M/2 is user m = k of
+    pair m, and k > M/2 is user m' = k of pair m = k - M/2."""
+    if M % 2 != 0 or not 1 <= k <= M:
+        raise ValueError(f"M must be even and user index k in 1..M, got M={M}, k={k}")
+    m = k if k <= M // 2 else k - M // 2
+    partition = gar_partition_user_m if k == m else gar_partition_user_mprime
+    part = partition(eps, P, P_S)
+    return delta_k0(m, m + M // 2, T, part) + delta_kernel(*part, M, T)
 
 
 def crnoma_gar_overall(M: int, T: float, eps: float, P: float, P_S: float) -> float:
     """Normalized overall average AoI under CR-NOMA with GAR."""
-    if M % 2 != 0:
-        raise ValueError(f"M must be even, got {M}")
     total = 0.0
     for m in range(1, M // 2 + 1):
-        total += crnoma_gar_user_aoi(m, m, M, T, eps, P, P_S)
-        total += crnoma_gar_user_aoi(m + M // 2, m, M, T, eps, P, P_S)
+        total += crnoma_gar_user_aoi(m, M, T, eps, P, P_S)
+        total += crnoma_gar_user_aoi(m + M // 2, M, T, eps, P, P_S)
     return total / M
 
 
@@ -177,8 +171,7 @@ def closed_form_aoi(scheme: str, gen_model: str, M: int, T: float, eps: float,
                     else crnoma_gar_overall(M, T, eps, P, P_S))
         if tdma:
             return tdma_gar_user_aoi(user, M, T, eps, P)
-        m = user if user <= M // 2 else user - M // 2
-        return crnoma_gar_user_aoi(user, m, M, T, eps, P, P_S)
+        return crnoma_gar_user_aoi(user, M, T, eps, P, P_S)
     except OverflowError:
         return math.inf
 

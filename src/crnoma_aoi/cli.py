@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -80,6 +81,10 @@ def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
+    # checked before the sweep; the file is written only once it ends
+    if args.out and (os.path.isdir(args.out)
+                     or not os.path.isdir(os.path.dirname(args.out) or ".")):
+        raise ValueError(f"--out must be a file in an existing directory, got {args.out!r}")
     csv_text = run_experiment(spec)
     if args.out:
         with open(args.out, "w") as fh:

@@ -140,7 +140,7 @@ def run_validation(level: str = "fast", seed: int = 7) -> list[CheckResult]:
 
     # -- GAR per-user closed forms vs simulation at 0 dB ------------------
     a_gar_t5 = analytic.tdma_gar_user_aoi(5, 8, 0.5, eps1, 1.0)
-    a_gar_n5 = analytic.crnoma_gar_user_aoi(5, 1, 8, 0.5, eps1, 1.0, 1.0)
+    a_gar_n5 = analytic.crnoma_gar_user_aoi(5, 8, 0.5, eps1, 1.0, 1.0)
     add("gar_closed_forms", abs(a_gar_t5 - 11.373) < 5e-3
         and abs(a_gar_n5 - 8.00) < 5e-3,
         f"tdma_u5={a_gar_t5:.4f} (11.373), noma_u5={a_gar_n5:.4f} (8.00)")

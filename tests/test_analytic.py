@@ -194,20 +194,20 @@ class TestDeltaK0:
 
 class TestCrnomaGar:
     def test_user5_zero_db(self):
-        assert analytic.crnoma_gar_user_aoi(5, 1, 8, 0.5, EPS1, 1.0, 1.0) == pytest.approx(
+        assert analytic.crnoma_gar_user_aoi(5, 8, 0.5, EPS1, 1.0, 1.0) == pytest.approx(
             8.00, abs=5e-3)
 
     def test_error_free_user_m(self):
-        assert analytic.crnoma_gar_user_aoi(2, 2, 8, 0.5, 0.0, 1.0, 1.0) == pytest.approx(
+        assert analytic.crnoma_gar_user_aoi(2, 8, 0.5, 0.0, 1.0, 1.0) == pytest.approx(
             2 * 0.5 + 2.0)
 
     def test_user5_high_snr(self):
-        v = analytic.crnoma_gar_user_aoi(5, 1, 8, 0.5, EPS1, 1e4, 1e4)
+        v = analytic.crnoma_gar_user_aoi(5, 8, 0.5, EPS1, 1e4, 1e4)
         assert v == pytest.approx(3.50, abs=0.01)
 
     def test_user_m_high_snr(self):
         for m in (1, 2, 3, 4):
-            v = analytic.crnoma_gar_user_aoi(m, m, 8, 0.5, EPS1, 1e5, 1e5)
+            v = analytic.crnoma_gar_user_aoi(m, 8, 0.5, EPS1, 1e5, 1e5)
             assert v == pytest.approx(m * 0.5 + 2.0, rel=1e-3)
 
     def test_error_free_M2(self):
@@ -217,8 +217,8 @@ class TestCrnomaGar:
         M, T = 8, 0.5
         users = []
         for m in range(1, M // 2 + 1):
-            users.append(analytic.crnoma_gar_user_aoi(m, m, M, T, EPS1, 1.0, 1.0))
-            users.append(analytic.crnoma_gar_user_aoi(m + M // 2, m, M, T, EPS1, 1.0, 1.0))
+            users.append(analytic.crnoma_gar_user_aoi(m, M, T, EPS1, 1.0, 1.0))
+            users.append(analytic.crnoma_gar_user_aoi(m + M // 2, M, T, EPS1, 1.0, 1.0))
         assert analytic.crnoma_gar_overall(M, T, EPS1, 1.0, 1.0) == pytest.approx(
             sum(users) / M, rel=1e-12)
 
@@ -227,8 +227,10 @@ class TestCrnomaGar:
             analytic.crnoma_gar_overall(7, 0.5, EPS1, 1.0, 1.0)
 
     def test_bad_user_index(self):
-        with pytest.raises(ValueError):
-            analytic.crnoma_gar_user_aoi(3, 1, 8, 0.5, EPS1, 1.0, 1.0)
+        # a user outside 1..M, and an odd M, which has no pairs
+        for k, M in ((0, 8), (9, 8), (1, 7)):
+            with pytest.raises(ValueError, match=f"M={M}, k={k}"):
+                analytic.crnoma_gar_user_aoi(k, M, 0.5, EPS1, 1.0, 1.0)
 
 
 class TestGarHighSnrGap:
@@ -241,12 +243,12 @@ class TestGarHighSnrGap:
     def test_consistent_with_closed_forms(self):
         P = db_to_linear(50.0)
         tdma = analytic.tdma_gar_user_aoi(5, 8, 0.5, EPS1, P)
-        noma = analytic.crnoma_gar_user_aoi(5, 1, 8, 0.5, EPS1, P, P)
+        noma = analytic.crnoma_gar_user_aoi(5, 8, 0.5, EPS1, P, P)
         gap = analytic.gar_high_snr_gap(8, 0.5, EPS1)
         assert tdma + gap == pytest.approx(noma, rel=5e-3)
 
     def test_fairness_gap_high_snr(self):
         P = 1e4
-        noma_gap = (analytic.crnoma_gar_user_aoi(5, 1, 8, 0.5, EPS1, P, P)
-                    - analytic.crnoma_gar_user_aoi(1, 1, 8, 0.5, EPS1, P, P))
+        noma_gap = (analytic.crnoma_gar_user_aoi(5, 8, 0.5, EPS1, P, P)
+                    - analytic.crnoma_gar_user_aoi(1, 8, 0.5, EPS1, P, P))
         assert noma_gap == pytest.approx(4 * 0.5 * EPS1 / (1 + EPS1), rel=0.01)

@@ -332,6 +332,26 @@ class TestCliMain:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == CSV_HEADER and len(lines) == 2
 
+    @pytest.mark.parametrize("out", ["missing/x.csv", "."])
+    def test_run_rejects_bad_out_before_sweep(self, out, tmp_path, monkeypatch, capsys):
+        # a missing parent directory, or a directory itself
+        monkeypatch.setattr("crnoma_aoi.cli.run_experiment",
+                            lambda spec: pytest.fail("the sweep ran"))
+        path = str(tmp_path / out)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--preset", "fig4b", "--out", path])
+        assert exc.value.code == 2
+        assert path in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
+    def test_run_sim_only(self, capsys):
+        assert main(["run", "--sim-only", "--gen-model", "GAR", "--M", "4",
+                     "--users", "1,3", "--frames", "2000"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert rows and all(r["aoi_analytic"] == "" for r in rows)
+        assert all(math.isfinite(float(r[col])) for r in rows
+                   for col in ("aoi_sim", "sim_ci_halfwidth"))
+
     def test_run_stdout_deterministic(self, capsys):
         args = ["run", "--preset", "fig4b", "--analytic-only"]
         assert main(args) == 0
