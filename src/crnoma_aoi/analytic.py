@@ -148,6 +148,8 @@ def crnoma_gar_user_aoi(k: int, M: int, T: float, eps: float, P: float, P_S: flo
 
 def crnoma_gar_overall(M: int, T: float, eps: float, P: float, P_S: float) -> float:
     """Normalized overall average AoI under CR-NOMA with GAR."""
+    if M < 2 or M % 2 != 0:
+        raise ValueError(f"M must be an even integer >= 2, got M={M}")
     total = 0.0
     for m in range(1, M // 2 + 1):
         total += crnoma_gar_user_aoi(m, M, T, eps, P, P_S)

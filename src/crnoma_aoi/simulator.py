@@ -78,9 +78,9 @@ def _pair_outcomes(cfg: SystemConfig, gains: np.ndarray, prev: float):
 
     if cfg.scheme == "TDMA":
         never = np.zeros(gains.shape[1], dtype=bool)
-        masks = ((primary_success(P, g_m_m, eps), never),
-                 (never, primary_success(P, g_mp_mp, eps)))
-    elif cfg.gen_model == "GAW":
+        return ((primary_success(P, g_m_m, eps), never),
+                (never, primary_success(P, g_mp_mp, eps)))
+    if cfg.gen_model == "GAW":
         # U_m: primary in slot m every frame; on failure, secondary in slot m'
         # of the same frame against U_m' (who is always primary there).
         s1 = primary_success(P, g_m_m, eps)
@@ -88,23 +88,19 @@ def _pair_outcomes(cfg: SystemConfig, gains: np.ndarray, prev: float):
         # U_m': primary in slot m' every frame; on failure, secondary in
         # slot m of the NEXT frame with a fresh update.
         s3 = primary_success(P, g_mp_mp, eps)
-        retry = np.empty(gains.shape[1], dtype=bool)
-        retry[0] = not primary_success(P, prev, eps)
-        retry[1:] = ~s3[:-1]
+        retry = np.concatenate(([not primary_success(P, prev, eps)], ~s3[:-1]))
         s2 = secondary_capped_success(P_S, g_mp_m, P, g_m_m, eps)
-        masks = ((s1, ~s1 & s4), (retry & s2, s3))
-    else:
-        # CR-NOMA / GAR: both users generate at frame start; undelivered
-        # updates are dropped at frame end, so no state crosses frames.
-        sm1 = primary_success(P, g_m_m, eps)                         # U_m primary, slot m
-        sp1 = secondary_capped_success(P_S, g_mp_m, P, g_m_m, eps)   # U_m' secondary, slot m
-        sp2 = primary_success(P, g_mp_mp, eps)                       # U_m' retry, slot m'
-        # U_m's retry in slot m': interference-free if U_m' is silent, capped
-        # if it retransmits (chosen bitwise: np.where on a bool mask branches)
-        sm2 = ((sp1 & primary_success(P_S, g_m_mp, eps))
-               | (~sp1 & secondary_capped_success(P_S, g_m_mp, P, g_mp_mp, eps)))
-        masks = ((sm1, ~sm1 & sm2), (sp1, ~sp1 & sp2))
-    return masks
+        return ((s1, ~s1 & s4), (retry & s2, s3))
+    # CR-NOMA / GAR: both users generate at frame start; undelivered
+    # updates are dropped at frame end, so no state crosses frames.
+    sm1 = primary_success(P, g_m_m, eps)                         # U_m primary, slot m
+    sp1 = secondary_capped_success(P_S, g_mp_m, P, g_m_m, eps)   # U_m' secondary, slot m
+    sp2 = primary_success(P, g_mp_mp, eps)                       # U_m' retry, slot m'
+    # U_m's retry in slot m': interference-free if U_m' is silent, capped
+    # if it retransmits (chosen bitwise: np.where on a bool mask branches)
+    sm2 = ((sp1 & primary_success(P_S, g_m_mp, eps))
+           | (~sp1 & secondary_capped_success(P_S, g_m_mp, P, g_mp_mp, eps)))
+    return ((sm1, ~sm1 & sm2), (sp1, ~sp1 & sp2))
 
 
 def _batch_edges(config: SystemConfig) -> list[int]:

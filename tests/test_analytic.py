@@ -223,8 +223,10 @@ class TestCrnomaGar:
             sum(users) / M, rel=1e-12)
 
     def test_odd_m_rejected(self):
-        with pytest.raises(ValueError):
-            analytic.crnoma_gar_overall(7, 0.5, EPS1, 1.0, 1.0)
+        # an odd M has no pairs, and M < 2 has no users
+        for M in (7, 1, 0, -2):
+            with pytest.raises(ValueError, match=f"M={M}"):
+                analytic.crnoma_gar_overall(M, 0.5, EPS1, 1.0, 1.0)
 
     def test_bad_user_index(self):
         # a user outside 1..M, and an odd M, which has no pairs

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from crnoma_aoi import analytic, oracle
-from crnoma_aoi.model import SystemConfig, db_to_linear, epsilon_of
-from crnoma_aoi.simulator import deliveries, run
+from crnoma_aoi.model import db_to_linear
 
 EPS1 = 1.0
 
@@ -134,31 +133,11 @@ class TestRenewalAoi:
         with pytest.raises(ValueError, match="non-finite"):
             oracle.renewal_aoi(log, t_end=4.0, t_start=bad)
 
-    @pytest.mark.parametrize("scheme,gen", [("TDMA", "GAW"), ("CR-NOMA", "GAW"),
-                                            ("TDMA", "GAR"), ("CR-NOMA", "GAR")])
-    def test_matches_simulator_integrator(self, scheme, gen):
-        cfg = SystemConfig(M=4, T=0.5, R=1.0, P=1.0, P_S=1.0, scheme=scheme,
-                           gen_model=gen, frames=5000, warmup_frames=100, seed=21)
-        report = run(cfg)
-        t0 = cfg.warmup_frames * cfg.frame_duration
-        t1 = cfg.frames * cfg.frame_duration
-        recomputed = oracle.renewal_aoi(deliveries(cfg), t1, t0)
-        for k in range(cfg.M):
-            assert abs(recomputed[k + 1] - report.per_user_aoi[k]) < 1e-9
-
 
 class TestGeometricMoments:
     def test_half(self):
         r1, r2 = oracle.geometric_moment_check(0.5)
         assert r1 < 1e-12 and r2 < 1e-12
-        # closed forms themselves: 2 and 6
-        assert 0.5 / 0.25 == 2.0
-        assert 0.5 * 1.5 / 0.125 == 6.0
-
-    def test_small_x_first_term_dominates(self):
-        x = 1e-8
-        j = np.arange(1, 50)
-        assert np.sum(j * x ** j) == pytest.approx(x, rel=1e-7)
 
     def test_large_x(self):
         r1, r2 = oracle.geometric_moment_check(0.9)
