@@ -83,12 +83,15 @@ class TestWindowedAverage:
                           + (M - k + 1) ** 2 - 1)
             assert a == pytest.approx(twice_area * T / (2 * F * M), rel=1e-12)
 
-    def test_empty_window_rejected(self):
+    def test_empty_window(self):
         # a zero-length averaging window (warm-up eats the whole horizon)
         # has no time average
         for frames in (0, 1, 100):
             with pytest.raises(ValueError):
                 cfg(frames=frames, warmup=frames)
+
+    def test_empty_window_rejected(self):
+        # a non-empty window shorter than the batch count is rejected at run
         with pytest.raises(ValueError):
             run(cfg(frames=110, warmup=100))   # fewer frames than batches
 
