@@ -20,7 +20,7 @@ import numpy as np
 
 from .experiments import PRESETS, ExperimentSpec, preset_spec, run_experiment
 from .model import GEN_MODELS, db_to_linear, epsilon_of
-from .validation import partition_table, print_report, run_validation
+from .validation import LEVELS, partition_table, print_report, run_validation
 
 
 def _list_of(cast):
@@ -95,7 +95,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    checks = run_validation(level=args.level, seed=args.seed)
+    given = {"level": args.level, "seed": args.seed}   # unset: run_validation's default
+    checks = run_validation(**{k: v for k, v in given.items() if v is not None})
     return 0 if print_report(checks) else 1
 
 
@@ -144,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="run the validation suite")
-    p_val.add_argument("--level", choices=("fast", "full"), default="fast")
-    p_val.add_argument("--seed", type=int, default=7)
+    p_val.add_argument("--level", choices=LEVELS)
+    p_val.add_argument("--seed", type=int)
     p_val.set_defaults(func=_cmd_validate)
 
     p_probs = sub.add_parser("probs", help="Monte Carlo probability dump")

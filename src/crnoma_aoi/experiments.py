@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import closed_form_aoi
-from .model import SystemConfig, db_to_linear
+from .model import SCHEMES, SystemConfig, db_to_linear
 from .simulator import run_many
 
 CSV_HEADER = ("preset,scheme,gen_model,M,T,R,snr_db,user_id,"
@@ -35,7 +35,7 @@ class ExperimentSpec:
     """A sweep over (scheme, M, T, R, SNR); P_S = P throughout the harness."""
 
     preset: str = "custom"
-    schemes: tuple[str, ...] = ("TDMA", "CR-NOMA")
+    schemes: tuple[str, ...] = SCHEMES
     gen_model: str = "GAW"
     M_values: tuple[int, ...] = (8,)
     T_values: tuple[float, ...] = (1.0,)
@@ -86,25 +86,24 @@ class ExperimentSpec:
 
 # Axis values mirror the reference figure setups; fig5 sweeps M at a small
 # documented SNR grid, and the overall-GAR presets sweep two network sizes.
-PRESETS: dict[str, ExperimentSpec] = {
-    "fig4a": ExperimentSpec(preset="fig4a", gen_model="GAW", M_values=(8,),
-                            R_values=(0.5,), T_values=(0.5, 1.0, 1.5)),
-    "fig4b": ExperimentSpec(preset="fig4b", gen_model="GAW", M_values=(8,),
-                            R_values=(1.0,), T_values=(0.5, 1.0, 1.5)),
-    "fig5": ExperimentSpec(preset="fig5", gen_model="GAW", M_values=(4, 8, 16, 32),
-                           R_values=(1.5,), T_values=(0.5,),
-                           snr_db_values=(0, 10, 20)),
-    "fig6a": ExperimentSpec(preset="fig6a", gen_model="GAR", M_values=(8,),
-                            R_values=(1.0,), T_values=(0.5,), users=(1, 2, 3, 4)),
-    "fig6b": ExperimentSpec(preset="fig6b", gen_model="GAR", M_values=(8,),
-                            R_values=(1.0,), T_values=(0.5,), users=(5, 6, 7, 8)),
-    "fig7x": ExperimentSpec(preset="fig7x", gen_model="GAR", M_values=(8,),
-                            R_values=(1.0,), T_values=(0.5,), users=(1, 5)),
-    "fig7a": ExperimentSpec(preset="fig7a", gen_model="GAR", M_values=(8, 16),
-                            R_values=(0.5,), T_values=(0.5,)),
-    "fig7b": ExperimentSpec(preset="fig7b", gen_model="GAR", M_values=(8, 16),
-                            R_values=(1.5,), T_values=(0.5,)),
-}
+PRESETS: dict[str, ExperimentSpec] = {spec.preset: spec for spec in (
+    ExperimentSpec(preset="fig4a", gen_model="GAW", M_values=(8,),
+                   R_values=(0.5,), T_values=(0.5, 1.0, 1.5)),
+    ExperimentSpec(preset="fig4b", gen_model="GAW", M_values=(8,),
+                   R_values=(1.0,), T_values=(0.5, 1.0, 1.5)),
+    ExperimentSpec(preset="fig5", gen_model="GAW", M_values=(4, 8, 16, 32),
+                   R_values=(1.5,), T_values=(0.5,), snr_db_values=(0, 10, 20)),
+    ExperimentSpec(preset="fig6a", gen_model="GAR", M_values=(8,),
+                   R_values=(1.0,), T_values=(0.5,), users=(1, 2, 3, 4)),
+    ExperimentSpec(preset="fig6b", gen_model="GAR", M_values=(8,),
+                   R_values=(1.0,), T_values=(0.5,), users=(5, 6, 7, 8)),
+    ExperimentSpec(preset="fig7x", gen_model="GAR", M_values=(8,),
+                   R_values=(1.0,), T_values=(0.5,), users=(1, 5)),
+    ExperimentSpec(preset="fig7a", gen_model="GAR", M_values=(8, 16),
+                   R_values=(0.5,), T_values=(0.5,)),
+    ExperimentSpec(preset="fig7b", gen_model="GAR", M_values=(8, 16),
+                   R_values=(1.5,), T_values=(0.5,)),
+)}
 
 
 def preset_spec(name: str) -> ExperimentSpec:

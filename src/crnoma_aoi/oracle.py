@@ -130,14 +130,13 @@ def renewal_aoi(events_by_user: dict[int, tuple[np.ndarray, np.ndarray]],
     for user, (times, ages) in events_by_user.items():
         if len(times) == 0:
             raise ValueError(f"no deliveries for user {user}")
+        times = times.tolist()
         total = 0.0
-        for j in range(len(times)):
-            t_a = times[j]
-            t_b = times[j + 1] if j + 1 < len(times) else t_end
+        for t_a, t_b, age in zip(times, times[1:] + [t_end], ages.tolist(), strict=True):
             lo = max(t_a, t_start)
             hi = min(t_b, t_end)
             if hi > lo:
-                a = ages[j] + (lo - t_a)
+                a = age + (lo - t_a)
                 y = hi - lo
                 total += a * y + 0.5 * y * y
         out[user] = total / (t_end - t_start)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import analytic, oracle
 from .experiments import ExperimentSpec, run_experiment
-from .model import SCHEMES, SystemConfig, db_to_linear, epsilon_of
+from .model import GEN_MODELS, SCHEMES, SystemConfig, db_to_linear, epsilon_of
 from .simulator import AoiReport, deliveries, run
 
 LEVELS = {
@@ -176,8 +176,8 @@ def run_validation(level: str = "fast", seed: int = 7) -> list[CheckResult]:
     # -- renewal-reward cross-check on the simulator's deliveries ---------
     renewal_ok = True
     worst_abs = 0.0
-    for scheme in ("TDMA", "CR-NOMA"):
-        for gen_model in ("GAW", "GAR"):
+    for scheme in SCHEMES:
+        for gen_model in GEN_MODELS:
             cfg = SystemConfig(M=4, T=0.5, R=1.0, P=1.0, P_S=1.0, scheme=scheme,
                                gen_model=gen_model, frames=max(lv["frames"] // 10, 2000),
                                warmup_frames=50, seed=seed + 20)
@@ -197,19 +197,17 @@ def run_validation(level: str = "fast", seed: int = 7) -> list[CheckResult]:
     add("series_identities", series_ok, "residuals < 1e-10 at x in {0.1, 0.5, 0.9}")
 
     # -- qualitative figure shapes (analytic, desk scale) -----------------
-    def gaw_aoi(scheme: str, M: int, T: float, R: float, P: float) -> float:
-        return analytic.closed_form_aoi(scheme, "GAW", M, T, epsilon_of(R), P, P)
+    def aoi(scheme: str, gen_model: str, M: int, T: float, R: float, P: float) -> float:
+        return analytic.closed_form_aoi(scheme, gen_model, M, T, epsilon_of(R), P, P)
 
-    mono_M = all(gaw_aoi(s, M, 0.5, 1.5, P) < gaw_aoi(s, M2, 0.5, 1.5, P)
+    mono_M = all(aoi(s, "GAW", M, 0.5, 1.5, P) < aoi(s, "GAW", M2, 0.5, 1.5, P)
                  for s in SCHEMES for P in (1.0, 10.0, 100.0)
                  for M, M2 in ((4, 8), (8, 16), (16, 32)))
-    mono_R = all(gaw_aoi(s, 8, T, 0.5, P) < gaw_aoi(s, 8, T, 1.0, P)
+    mono_R = all(aoi(s, "GAW", 8, T, 0.5, P) < aoi(s, "GAW", 8, T, 1.0, P)
                  for s in SCHEMES for P in (1.0, 10.0) for T in (0.5, 1.5))
     gar_dominance = all(
-        analytic.crnoma_gar_overall(8, 0.5, epsilon_of(R), db_to_linear(s),
-                                    db_to_linear(s))
-        <= analytic.tdma_gar_overall(8, 0.5, epsilon_of(R), db_to_linear(s))
-        for R in (0.5, 1.5) for s in range(0, 41, 5))
+        aoi("CR-NOMA", "GAR", 8, 0.5, R, P) <= aoi("TDMA", "GAR", 8, 0.5, R, P)
+        for R in (0.5, 1.5) for P in map(db_to_linear, range(0, 41, 5)))
     add("figure_shapes", mono_M and mono_R and gar_dominance,
         "GAW AoI increasing in M and R for both schemes; "
         "GAR CR-NOMA <= TDMA at every grid SNR")

@@ -245,7 +245,8 @@ class TestDegenerateSpecs:
         ["--M", ""], ["--T", ""], ["--R", ","], ["--snr-db", ""],
         ["--seed", "-1"], ["--gen-model", "GAW", "--users", "1,2"], ["--sim-only"],
         ["--R", "2000", "--M", "4", "--T", "1", "--snr-db", "0"],
-        ["--M", "4", "--T", "1", "--snr-db", "4000"]])
+        ["--M", "4", "--T", "1", "--snr-db", "4000"],
+        ["--gen-model", "GAR", "--M", "2", "--users", "3"]])
     def test_cli_exits_2(self, flags, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--analytic-only", *flags])
@@ -297,6 +298,8 @@ class TestValidate:
         before = threading.active_count()
         with pytest.raises(ValueError, match="seed"):
             run_validation("full", -1)
+        with pytest.raises(ValueError, match="level"):
+            run_validation("bogus")
         assert started == [] and threading.active_count() == before
 
     def test_cli_import_loads_no_thread_pool(self):
@@ -378,12 +381,16 @@ class TestCliMain:
             main(["run", "--preset", "nonsense"])
         assert exc.value.code == 2
 
-    def test_bad_config_key(self, tmp_path):
+    def test_bad_config_key(self, tmp_path, capsys):
         conf = tmp_path / "bad.conf"
-        conf.write_text("bogus_key=1\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--config", str(conf)])
-        assert exc.value.code == 2
+        for line, error in (("bogus_key=1", "unknown config key"),
+                            ("no_equals_sign", "expected key=value"),
+                            ("outputs=bogus", "outputs must be")):
+            conf.write_text(line + "\n")
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--config", str(conf)])
+            assert exc.value.code == 2
+            assert error in capsys.readouterr().err
 
     @pytest.mark.parametrize("gen_model", ["GAW", "GAR"])
     def test_run_never_delivering_prints_inf(self, gen_model, capsys):
@@ -402,6 +409,23 @@ class TestCliMain:
         assert len(noma) == 9 and all(r["aoi_analytic"] == "inf" for r in noma)
         assert all(math.isfinite(float(r["aoi_analytic"]))
                    for r in rows if r["scheme"] == "TDMA")
+
+    @pytest.mark.parametrize("passed", [True, False])
+    def test_validate_command(self, passed, monkeypatch, capsys):
+        calls = []
+
+        def checks(**kwargs):
+            calls.append(kwargs)
+            return [validation.CheckResult("ok", True, "a"),
+                    validation.CheckResult("maybe", passed, "b")]
+
+        monkeypatch.setattr("crnoma_aoi.cli.run_validation", checks)
+        rc = 0 if passed else 1
+        assert main(["validate", "--level", "full", "--seed", "3"]) == rc
+        assert main(["validate"]) == rc   # run_validation's own defaults
+        assert calls == [{"level": "full", "seed": 3}, {}]
+        out = capsys.readouterr().out
+        assert ("[FAIL] maybe: b" in out) != passed and "[PASS] ok: a" in out
 
     def test_probs_command(self, capsys):
         assert main(["probs", "--trials", "20000", "--seed", "1"]) == 0

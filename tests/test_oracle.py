@@ -122,8 +122,15 @@ class TestRenewalAoi:
         assert out[1] == pytest.approx(3.0)
 
     def test_empty_log_rejected(self):
-        with pytest.raises(ValueError):
-            oracle.renewal_aoi({1: (np.array([]), np.array([]))}, t_end=1.0)
+        # also a log whose reset ages do not match its delivery times
+        for times, ages in (([], []), ([0.0, 1.0], [1.0])):
+            with pytest.raises(ValueError):
+                oracle.renewal_aoi({1: (np.array(times), np.array(ages))}, t_end=1.0)
+
+    def test_zero_length_window_rejected(self):
+        with pytest.raises(ValueError, match="zero-length"):
+            oracle.renewal_aoi({1: (np.array([0.0]), np.array([1.0]))},
+                               t_end=4.0, t_start=4.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_window_rejected(self, bad):
