@@ -3,8 +3,8 @@
 A legacy TDMA uplink is augmented with cognitive-radio inspired NOMA so that
 paired users get a second transmission opportunity per frame.  The package
 provides closed-form average-AoI expressions for both schemes under two data
-generation models (generate-at-will and generate-at-request), an exact
-event-level Monte Carlo simulator, and independent validation oracles.
+generation models (generate-at-will and generate-at-request), a Monte Carlo
+simulator with an exact per-frame AoI kernel, and independent oracles.
 Import the submodules; the package itself exposes only ``__version__``.
 """
 

@@ -18,28 +18,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from .experiments import PRESETS, ExperimentSpec, preset_spec, run_experiment
+from .experiments import PRESETS, ExperimentSpec, run_experiment
 from .model import GEN_MODELS, db_to_linear, epsilon_of
 from .validation import LEVELS, partition_table, print_report, run_validation
 
 
 def _list_of(cast):
-    return lambda text: tuple(cast(tok) for tok in text.split(",") if tok.strip())
-
-
-def _load_config_file(path: str) -> dict[str, str]:
-    """Flat key=value document; '#' starts a comment."""
-    values: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
-    return values
+    return lambda text: tuple(cast(tok) for tok in map(str.strip, text.split(",")) if tok)
 
 
 # Each sweep-spec key once: its ``run`` flag and ``add_argument`` keywords.  A
@@ -61,20 +46,41 @@ _SPEC_KEYS = {
 }
 
 
+def _load_config_file(path: str) -> dict:
+    """Flat key=value document; '#' starts a comment.  Each line is checked as
+    it is read; an error starts ``path:lineno: key:``.  ``preset`` names a
+    preset or is empty (none); other keys parse by their ``_SPEC_KEYS`` type."""
+    values = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, eq, value = (part.strip() for part in line.partition("="))
+            try:
+                if not eq:
+                    raise ValueError("expected key=value")
+                if key == "preset":
+                    if value and value not in PRESETS:
+                        raise ValueError(f"unknown preset {value!r}; "
+                                         f"valid: {sorted(PRESETS)}")
+                elif key not in _SPEC_KEYS:
+                    raise ValueError("unknown config key")
+                else:
+                    value = _SPEC_KEYS[key][1].get("type", str)(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+            values[key] = value
+    return values
+
+
 def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
     """Precedence: flag > config file > preset > defaults; the --preset flag
     beats the file's ``preset``."""
     values = _load_config_file(args.config) if args.config else {}
-    file_preset = values.pop("preset", None)
-    spec = preset_spec(file_preset) if file_preset else ExperimentSpec()
-    if args.preset:
-        spec = preset_spec(args.preset)
-    overrides = {}
-    for key, raw in values.items():
-        if key not in _SPEC_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        overrides[key] = _SPEC_KEYS[key][1].get("type", str)(raw)
-    spec = replace(spec, **overrides)
+    file_preset = values.pop("preset", "")
+    preset = args.preset or file_preset
+    spec = replace(PRESETS[preset] if preset else ExperimentSpec(), **values)
     flags = {key: getattr(args, key) for key in _SPEC_KEYS}
     return replace(spec, **{k: v for k, v in flags.items() if v is not None})
 

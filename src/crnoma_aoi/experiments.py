@@ -106,12 +106,6 @@ PRESETS: dict[str, ExperimentSpec] = {spec.preset: spec for spec in (
 )}
 
 
-def preset_spec(name: str) -> ExperimentSpec:
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; valid: {sorted(PRESETS)}")
-    return PRESETS[name]
-
-
 def _sweep_seed(seed: int, M: int) -> int:
     """The simulation seed of every grid point with M users: a 64-bit word
     drawn from ``SeedSequence([seed, M])``, so distinct (seed, M) pairs get
@@ -125,7 +119,7 @@ def _fmt(x: float) -> str:
 
 def run_experiment(spec: ExperimentSpec) -> str:
     """Execute the sweep and return the CSV document (header included).  A
-    row's ``seed`` column is the seed it was simulated with, so ``run`` of
+    row's ``seed`` column is the seed it was simulated with, so ``run_many`` of
     the row's :class:`SystemConfig` at that seed reproduces it."""
     configs = spec.validate()
     reports = {}

@@ -119,8 +119,9 @@ def renewal_aoi(events_by_user: dict[int, tuple[np.ndarray, np.ndarray]],
 
     For each interval y_j between consecutive deliveries the age ramps from
     the reset value a_j, contributing Q_j = a_j y_j + y_j^2/2; boundary
-    intervals are clipped to [t_start, t_end].  Plain Python accumulation,
-    deliberately separate from the simulator's vectorized integrator.
+    intervals are clipped to [t_start, t_end], and each user needs a record at
+    or before t_start, since its age before its first record is undefined.
+    Plain Python accumulation, deliberately separate from the simulator's kernel.
     """
     if not (math.isfinite(t_start) and math.isfinite(t_end)):
         raise ValueError(f"non-finite accumulation window [{t_start}, {t_end}]")
@@ -128,8 +129,8 @@ def renewal_aoi(events_by_user: dict[int, tuple[np.ndarray, np.ndarray]],
         raise ValueError("zero-length accumulation window")
     out = {}
     for user, (times, ages) in events_by_user.items():
-        if len(times) == 0:
-            raise ValueError(f"no deliveries for user {user}")
+        if len(times) == 0 or times[0] > t_start:
+            raise ValueError(f"user {user} has no record at or before t_start={t_start}")
         times = times.tolist()
         total = 0.0
         for t_a, t_b, age in zip(times, times[1:] + [t_end], ages.tolist(), strict=True):

@@ -8,8 +8,8 @@ m*T / m'*T (GAR), and the age grows linearly in between.  Time averages are
 the exact integrals of this piecewise-linear process over the post-warm-up
 window; no per-slot sampling is involved.
 
-:func:`run` integrates frame by frame.  Counted in slots, the age at time t
-is t - o, where the origin o = t_last - reset_age moves only at deliveries.
+:func:`run_many` integrates frame by frame.  Counted in slots, the age at time
+t is t - o, where the origin o = t_last - reset_age moves only at deliveries.
 A delivery never raises the age, so o never decreases, and the origin after
 each slot is a running maximum over the deliveries so far.  A frame's area is
 then linear in three integer origins (at frame start, after slot m, after
@@ -34,8 +34,7 @@ into chunks, draws each chunk's gains and states each pair's reset ages.
 :func:`run_many` and :func:`deliveries` consume it.  :func:`run_many` shares
 each chunk's gains among configs with the same M, model, horizon and seed,
 and classifies them per (scheme, R, P, P_S); T only scales the integer areas.
-:func:`run` is ``run_many`` of one config.  :func:`deliveries` returns the
-same deliveries as arrays, per user, for
+:func:`deliveries` returns the same deliveries as arrays, per user, for
 :func:`crnoma_aoi.oracle.renewal_aoi` to integrate independently: integer
 slot ends, multiplied by T once, of only the chunks that deliver.
 """
@@ -141,19 +140,15 @@ def _walk(config: SystemConfig):
             prev = gains[3, -1]
 
 
-def run(config: SystemConfig) -> AoiReport:
-    """Simulate ``config`` and return the exact time-average AoI per user over
-    the post-warm-up window, with half-widths of 3 standard errors over
-    N_BATCHES = 20 batch means (about 99.3 % under t_19); each batch is a
-    block of whole frames.  Deterministic given (config, seed)."""
-    return run_many([config])[0]
-
-
 def run_many(configs: list[SystemConfig]) -> list[AoiReport]:
     """Simulate configs that share (M, gen_model, frames, warmup_frames, seed)
-    on common gain draws; return one report per config, equal to its
-    :func:`run`.  Each distinct (scheme, R, P, P_S) is integrated once, with
-    its own origins; T is applied only at the end."""
+    on common gain draws; return one report per config, in order: the exact
+    time-average AoI per user over the post-warm-up window, with half-widths
+    of 3 standard errors over N_BATCHES = 20 batch means (about 99.3 % under
+    t_19); each batch is a block of whole frames.  A config's report does not
+    depend on the others in the list, and is deterministic given (config,
+    seed).  Each distinct (scheme, R, P, P_S) is integrated once, with its own
+    origins; T is applied only at the end."""
     if len({(c.M, c.gen_model, c.frames, c.warmup_frames, c.seed)
             for c in configs}) != 1:
         raise ValueError("run_many needs one or more configs sharing M, "
@@ -215,7 +210,7 @@ def _report(config: SystemConfig, areas: list[list[int]]) -> AoiReport:
 
 def deliveries(config: SystemConfig) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Simulate the full horizon from the same draws and classification as
-    :func:`run` and return user -> (delivery times, reset ages), users in
+    :func:`run_many` and return user -> (delivery times, reset ages), users in
     ascending order: each user's synthetic t=0 record at the reset age of its
     own slot, then its deliveries in time order, from the chunks of
     :func:`_walk` in which it delivers (each classified once per pair)."""

@@ -26,7 +26,7 @@ import numpy as np
 from . import analytic, oracle
 from .experiments import ExperimentSpec, run_experiment
 from .model import GEN_MODELS, SCHEMES, SystemConfig, db_to_linear, epsilon_of
-from .simulator import AoiReport, deliveries, run
+from .simulator import AoiReport, deliveries, run_many
 
 LEVELS = {
     "fast": {"frames": 20_000, "trials": 100_000, "sim_tol": 0.06, "gap_tol": 0.15,
@@ -50,9 +50,9 @@ def _rel(a: float, b: float) -> float:
 def _sim(lv: dict, scheme: str, gen_model: str, T: float, P: float,
          seed: int) -> AoiReport:
     """One M=8, R=1, P_S=P simulation at the level's horizon."""
-    return run(SystemConfig(M=8, T=T, R=1.0, P=P, P_S=P, scheme=scheme,
-                            gen_model=gen_model, frames=lv["frames"],
-                            warmup_frames=100, seed=seed))
+    return run_many([SystemConfig(M=8, T=T, R=1.0, P=P, P_S=P, scheme=scheme,
+                                  gen_model=gen_model, frames=lv["frames"],
+                                  warmup_frames=100, seed=seed)])[0]
 
 
 def partition_table(eps: float, P: float, P_S: float, trials: int,
@@ -184,7 +184,7 @@ def run_validation(level: str = "fast", seed: int = 7) -> list[CheckResult]:
             t0 = cfg.warmup_frames * cfg.frame_duration
             t1 = cfg.frames * cfg.frame_duration
             recomputed = oracle.renewal_aoi(deliveries(cfg), t1, t0)
-            report = run(cfg)
+            [report] = run_many([cfg])
             for k in range(cfg.M):
                 d = abs(recomputed[k + 1] - report.per_user_aoi[k])
                 worst_abs = max(worst_abs, d)

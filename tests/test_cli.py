@@ -16,10 +16,9 @@ from hypothesis import given, strategies as st
 import crnoma_aoi
 from crnoma_aoi import experiments, oracle, simulator, validation
 from crnoma_aoi.cli import main
-from crnoma_aoi.experiments import (CSV_HEADER, PRESETS, ExperimentSpec,
-                                    preset_spec, run_experiment)
+from crnoma_aoi.experiments import CSV_HEADER, PRESETS, ExperimentSpec, run_experiment
 from crnoma_aoi.model import SystemConfig, db_to_linear
-from crnoma_aoi.simulator import AoiReport, run
+from crnoma_aoi.simulator import AoiReport, run_many
 from crnoma_aoi.validation import run_validation
 
 
@@ -30,7 +29,7 @@ class TestPresets:
             assert spec.preset == name
 
     def test_fig4b_axes(self):
-        spec = preset_spec("fig4b")
+        spec = PRESETS["fig4b"]
         assert spec.gen_model == "GAW"
         assert spec.M_values == (8,)
         assert spec.R_values == (1.0,)
@@ -38,19 +37,15 @@ class TestPresets:
 
     def test_fig6_axes(self):
         for name in ("fig6a", "fig6b"):
-            spec = preset_spec(name)
+            spec = PRESETS[name]
             assert (spec.gen_model, spec.M_values, spec.R_values,
                     spec.T_values) == ("GAR", (8,), (1.0,), (0.5,))
 
     def test_fig5_sweeps_m(self):
-        spec = preset_spec("fig5")
+        spec = PRESETS["fig5"]
         assert spec.M_values == (4, 8, 16, 32)
         assert spec.R_values == (1.5,)
         assert spec.T_values == (0.5,)
-
-    def test_unknown_preset(self):
-        with pytest.raises(ValueError):
-            preset_spec("fig99")
 
 
 class TestRunExperiment:
@@ -109,10 +104,10 @@ class TestSharedDraws:
                          users=(1, 2) if gen_model == "GAR" else None)
         for row in self.rows(run_experiment(spec)):
             P = db_to_linear(float(row["snr_db"]))
-            report = run(SystemConfig(
+            [report] = run_many([SystemConfig(
                 M=int(row["M"]), T=float(row["T"]), R=float(row["R"]), P=P, P_S=P,
                 scheme=row["scheme"], gen_model=gen_model, frames=spec.frames,
-                warmup_frames=spec.warmup, seed=int(row["seed"])))
+                warmup_frames=spec.warmup, seed=int(row["seed"]))])
             if row["user_id"] == "overall":
                 sim, hw = report.overall_aoi, report.overall_halfwidth
             else:
@@ -144,7 +139,7 @@ class TestSharedDraws:
 
         draw = simulator.draw_gains
         monkeypatch.setattr(simulator, "draw_gains", counting)
-        spec = replace(preset_spec("fig4b"), frames=2000)
+        spec = replace(PRESETS["fig4b"], frames=2000)
         lines = run_experiment(spec).strip().split("\n")
         assert len(lines) == 1 + 54
         # M/2 = 4 pairs x 21 chunks (the warm-up, then 20 batches of 95
@@ -357,7 +352,9 @@ class TestCliMain:
             "snr_db_values=0\n"
             "outputs=analytic\n"
             "# comment line\n")
-        assert main(["run", "--config", str(conf), "--T", "1.5"]) == 0
+        # list flags strip each token, as int() and float() do themselves
+        assert main(["run", "--config", str(conf), "--T", "1.5",
+                     "--schemes", "TDMA, CR-NOMA"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 1 + 2  # both schemes at one SNR, one T
 
@@ -383,8 +380,12 @@ class TestCliMain:
 
     def test_bad_config_key(self, tmp_path, capsys):
         conf = tmp_path / "bad.conf"
-        for line, error in (("bogus_key=1", "unknown config key"),
-                            ("no_equals_sign", "expected key=value"),
+        # a line's error names the file, the line and the key
+        for line, error in (("bogus_key=1", ":1: bogus_key: unknown config key"),
+                            ("no_equals_sign", ":1: no_equals_sign: expected key=value"),
+                            ("frames=", ":1: frames: invalid literal"),
+                            ("T_values=0.5,abc", ":1: T_values: could not convert"),
+                            ("preset=fig99", ":1: preset: unknown preset"),
                             ("outputs=bogus", "outputs must be")):
             conf.write_text(line + "\n")
             with pytest.raises(SystemExit) as exc:

@@ -122,8 +122,9 @@ class TestRenewalAoi:
         assert out[1] == pytest.approx(3.0)
 
     def test_empty_log_rejected(self):
-        # also a log whose reset ages do not match its delivery times
-        for times, ages in (([], []), ([0.0, 1.0], [1.0])):
+        # also a log whose reset ages do not match its delivery times, and
+        # one whose first record leaves the age before it undefined
+        for times, ages in (([], []), ([0.0, 1.0], [1.0]), ([0.5], [1.0])):
             with pytest.raises(ValueError):
                 oracle.renewal_aoi({1: (np.array(times), np.array(ages))}, t_end=1.0)
 

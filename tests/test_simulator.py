@@ -11,8 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from crnoma_aoi import analytic, oracle, simulator
 from crnoma_aoi.model import (GEN_MODELS, SCHEMES, SystemConfig, db_to_linear,
-                              draw_gains)
-from crnoma_aoi.simulator import deliveries, run, run_many
+                              draw_gains, primary_success,
+                              secondary_capped_success)
+from crnoma_aoi.simulator import deliveries, run_many
 
 
 def cfg(scheme="TDMA", gen_model="GAW", M=8, T=1.5, R=1.0, snr_db=0.0,
@@ -36,14 +37,14 @@ def logged_events(c):
 
 
 class TestWindowedAverage:
-    """Exact time averages of run() over the post-warm-up window, on
+    """Exact time averages of run_many over the post-warm-up window, on
     processes with known integrals."""
 
     NEVER = 200.0   # R so large (eps = 2^200 - 1) that nothing is delivered
 
     def test_ramp(self):
         # no delivery: the GAW age starts at T and ramps for the whole horizon
-        r = run(cfg(R=self.NEVER, M=4, T=1.5, frames=1000, warmup=0))
+        [r] = run_many([cfg(R=self.NEVER, M=4, T=1.5, frames=1000, warmup=0)])
         for a in r.per_user_aoi:
             assert a == pytest.approx(1.5 + 1000 * 4 * 1.5 / 2, rel=1e-12)
 
@@ -53,7 +54,7 @@ class TestWindowedAverage:
         for scheme in ("TDMA", "CR-NOMA"):
             c = cfg(scheme=scheme, gen_model="GAR", R=self.NEVER, M=M, T=T,
                     frames=F, warmup=0)
-            r = run(c)
+            [r] = run_many([c])
             for k, a in enumerate(r.per_user_aoi, start=1):
                 assert a == pytest.approx(k * T + F * M * T / 2, rel=1e-12)
             # no chunk delivers, so each user's record is its t=0 entry alone
@@ -66,8 +67,8 @@ class TestWindowedAverage:
         # area before the warm-up boundary is discarded exactly
         M, T, F, W = 4, 1.5, 1003, 37
         for gen_model in ("GAW", "GAR"):
-            r = run(cfg(gen_model=gen_model, R=self.NEVER, M=M, T=T,
-                        frames=F, warmup=W))
+            [r] = run_many([cfg(gen_model=gen_model, R=self.NEVER, M=M, T=T,
+                                frames=F, warmup=W)])
             for k, a in enumerate(r.per_user_aoi, start=1):
                 start_age = T if gen_model == "GAW" else k * T
                 assert a == pytest.approx(start_age + (W + F) * M * T / 2,
@@ -77,7 +78,7 @@ class TestWindowedAverage:
         # TDMA/GAW at R=0: user k resets to T at the end of slot k of every
         # frame; the first and last partial periods are integrated exactly
         M, T, F = 8, 1.5, 1001
-        r = run(cfg(R=0.0, M=M, T=T, frames=F, warmup=0))
+        [r] = run_many([cfg(R=0.0, M=M, T=T, frames=F, warmup=0)])
         for k, a in enumerate(r.per_user_aoi, start=1):
             twice_area = ((k + 1) ** 2 - 1 + (F - 1) * ((M + 1) ** 2 - 1)
                           + (M - k + 1) ** 2 - 1)
@@ -93,7 +94,7 @@ class TestWindowedAverage:
     def test_empty_window_rejected(self):
         # a non-empty window shorter than the batch count is rejected at run
         with pytest.raises(ValueError):
-            run(cfg(frames=110, warmup=100))   # fewer frames than batches
+            run_many([cfg(frames=110, warmup=100)])   # fewer frames than batches
 
 
 class TestKernel:
@@ -111,16 +112,16 @@ class TestKernel:
             assert times[0] == 0 and np.all(np.diff(times) > 0)
         expect = oracle.renewal_aoi(events, c.frames * c.frame_duration,
                                     c.warmup_frames * c.frame_duration)
-        r = run(c)
+        [r] = run_many([c])
         for k in range(c.M):
             assert abs(r.per_user_aoi[k] - expect[k + 1]) < 1e-9
 
     @pytest.mark.parametrize("scheme,gen", PAIRS)
     def test_chunk_size_invariant(self, monkeypatch, scheme, gen):
         c = cfg(scheme=scheme, gen_model=gen, M=4, frames=1000, warmup=13)
-        whole = run(c)
+        whole = run_many([c])
         monkeypatch.setattr(simulator, "CHUNK_FRAMES", 7)
-        assert run(c) == whole
+        assert run_many([c]) == whole
 
     def test_chunked_draws_match_one_draw(self):
         whole = draw_gains(np.random.default_rng(8), (1000, 4))
@@ -134,7 +135,7 @@ class TestKernel:
         # arrays for this horizon would take hundreds of MiB
         tracemalloc.start()
         try:
-            run(cfg(M=8, frames=2_000_000, warmup=100))
+            run_many([cfg(M=8, frames=2_000_000, warmup=100)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -235,9 +236,9 @@ class TestMetamorphic:
 
     @staticmethod
     def run_at(scheme, gen_model, T=0.7, R=1.0, P=1.0, P_S=1.0):
-        return run(SystemConfig(M=6, T=T, R=R, P=P, P_S=P_S, scheme=scheme,
-                                gen_model=gen_model, frames=5003,
-                                warmup_frames=17, seed=11))
+        return run_many([SystemConfig(M=6, T=T, R=R, P=P, P_S=P_S, scheme=scheme,
+                                      gen_model=gen_model, frames=5003,
+                                      warmup_frames=17, seed=11)])[0]
 
     @pytest.mark.parametrize("gen", GEN_MODELS)
     def test_tdma_ignores_secondary_power(self, gen):
@@ -279,7 +280,7 @@ class TestRunMany:
         configs = [cfg(scheme=scheme, gen_model=gen, M=6, T=T, R=R, snr_db=snr,
                        frames=3001, warmup=17, seed=12)
                    for scheme in ("TDMA", "CR-NOMA") for T, R, snr in points]
-        assert run_many(configs) == [run(c) for c in configs]
+        assert run_many(configs) == [r for c in configs for r in run_many([c])]
 
     @pytest.mark.parametrize("field,value", [
         ("M", 4), ("gen_model", "GAR"), ("frames", 2001),
@@ -332,9 +333,10 @@ class TestDifferential:
                 expect = oracle.renewal_aoi(deliveries(c),
                                             c.frames * c.frame_duration,
                                             c.warmup_frames * c.frame_duration)
-                got = run(c).per_user_aoi
+                [r] = run_many([c])
                 for k in range(c.M):
-                    assert abs(got[k] - expect[k + 1]) <= 1e-9 * max(1.0, expect[k + 1])
+                    assert (abs(r.per_user_aoi[k] - expect[k + 1])
+                            <= 1e-9 * max(1.0, expect[k + 1]))
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(shared_draws(), st.data())
@@ -343,13 +345,98 @@ class TestDifferential:
         subset = data.draw(st.lists(st.sampled_from(configs), min_size=1,
                                     max_size=len(configs) + 1))
         with mock.patch.object(simulator, "CHUNK_FRAMES", chunk):
-            assert run_many(subset) == [run(c) for c in subset]
+            assert run_many(subset) == [r for c in subset for r in run_many([c])]
+
+
+@st.composite
+def protocol_configs(draw):
+    """One config of each scheme and model on common draws, at rates and
+    powers where primary and secondary attempts often succeed and often
+    fail; P != P_S is allowed."""
+    warmup = draw(st.integers(0, 30))
+    snr_db = st.floats(-5.0, 15.0)
+    P, P_S = db_to_linear(draw(snr_db)), db_to_linear(draw(snr_db))
+    shared = dict(M=draw(st.sampled_from((2, 4, 6, 8))), T=draw(st.floats(0.1, 5.0)),
+                  R=draw(st.floats(0.25, 2.0)), P=P, P_S=P_S,
+                  frames=warmup + draw(st.integers(20, 200)), warmup_frames=warmup,
+                  seed=draw(st.integers(0, 2 ** 32 - 1)))
+    return [SystemConfig(scheme=scheme, gen_model=gen, **shared)
+            for scheme in SCHEMES for gen in GEN_MODELS]
+
+
+def reference_deliveries(c):
+    """``c``'s deliveries as user -> (times, reset ages) lists, t=0 record
+    first, replayed frame by frame and slot by slot from the gains that
+    ``simulator._walk`` draws, with scalar code written from the protocol
+    and no other simulator code.  Slot k of frame f ends at (f*M + k)*T.
+    TDMA: each user sends in its own slot.  CR-NOMA pairs U_m with U_m' =
+    U_(m+M/2); a secondary is decoded first, capped by the primary's
+    interference, and at P_S.  GAW: U_m is primary in slot m and, if that
+    failed, secondary in slot m'; U_m' is primary in slot m' and, if that
+    failed, secondary in slot m of the next frame.  GAR: both generate at
+    frame start, U_m' is secondary in slot m and, if that failed, primary in
+    slot m'; U_m, failing slot m, retries in slot m' interference-free if U_m'
+    is silent there; an update undelivered at frame end is dropped."""
+    M, h, T, eps, P, P_S = c.M, c.M // 2, c.T, c.eps, c.P, c.P_S
+    gar = c.gen_model == "GAR"
+    log = {k: ([0.0], [(k if gar else 1) * T]) for k in range(1, M + 1)}
+
+    def deliver(user, slot):   # at the end of ``slot`` of frame f
+        log[user][0].append((f * M + slot) * T)
+        log[user][1].append((slot if gar else 1) * T)
+
+    for m, _resets, start, _n, _batch, gains, _prev in simulator._walk(c):
+        mp = m + h
+        if start == 0:
+            retry = False   # U_m' has no retry pending before frame 0
+        for f, (g_m_m, g_mp_m, g_m_mp, g_mp_mp) in enumerate(gains.T.tolist(), start):
+            if c.scheme == "TDMA":
+                if primary_success(P, g_m_m, eps):
+                    deliver(m, m)
+                if primary_success(P, g_mp_mp, eps):
+                    deliver(mp, mp)
+            elif not gar:
+                m_ok = primary_success(P, g_m_m, eps)
+                if m_ok:
+                    deliver(m, m)
+                if retry and secondary_capped_success(P_S, g_mp_m, P, g_m_m, eps):
+                    deliver(mp, m)
+                if not m_ok and secondary_capped_success(P_S, g_m_mp, P, g_mp_mp, eps):
+                    deliver(m, mp)
+                retry = not primary_success(P, g_mp_mp, eps)
+                if not retry:
+                    deliver(mp, mp)
+            else:
+                m_ok = primary_success(P, g_m_m, eps)
+                mp_ok = secondary_capped_success(P_S, g_mp_m, P, g_m_m, eps)
+                if m_ok:
+                    deliver(m, m)
+                if mp_ok:
+                    deliver(mp, m)
+                if not m_ok and (primary_success(P_S, g_m_mp, eps) if mp_ok else
+                                 secondary_capped_success(P_S, g_m_mp, P, g_mp_mp, eps)):
+                    deliver(m, mp)
+                if not mp_ok and primary_success(P, g_mp_mp, eps):
+                    deliver(mp, mp)
+    return log
+
+
+class TestReferenceModel:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(protocol_configs())
+    def test_deliveries_match_slot_by_slot_reference(self, configs):
+        # every delivery time and reset age, exactly; each batch edge also
+        # cuts a chunk, so a pending U_m' retry crosses many chunk edges
+        for c in configs:
+            got = {u: (times.tolist(), ages.tolist())
+                   for u, (times, ages) in deliveries(c).items()}
+            assert got == reference_deliveries(c)
 
 
 class TestDeterminism:
     def test_seed_changes_results(self):
-        a = run(cfg(frames=2000, seed=1))
-        b = run(cfg(frames=2000, seed=2))
+        [a] = run_many([cfg(frames=2000, seed=1)])
+        [b] = run_many([cfg(frames=2000, seed=2)])
         assert a.per_user_aoi != b.per_user_aoi
 
 
@@ -379,19 +466,19 @@ class TestResetAges:
 class TestErrorFreeChannel:
     @pytest.mark.parametrize("scheme", ["TDMA", "CR-NOMA"])
     def test_gaw_exact(self, scheme):
-        r = run(cfg(scheme=scheme, R=0.0, frames=1000, warmup=10))
+        [r] = run_many([cfg(scheme=scheme, R=0.0, frames=1000, warmup=10)])
         assert r.overall_aoi == pytest.approx(1.5 + 8 * 1.5 / 2, rel=1e-12)
 
     def test_gar_tdma_exact(self):
-        r = run(cfg(scheme="TDMA", gen_model="GAR", M=8, T=0.5, R=0.0,
-                    frames=1000, warmup=10))
+        [r] = run_many([cfg(scheme="TDMA", gen_model="GAR", M=8, T=0.5, R=0.0,
+                            frames=1000, warmup=10)])
         for k in range(8):
             assert r.per_user_aoi[k] == pytest.approx((k + 1) * 0.5 + 2.0, rel=1e-12)
 
     def test_gar_crnoma_exact(self):
         # every user succeeds at its first opportunity (slot m of its pair)
-        r = run(cfg(scheme="CR-NOMA", gen_model="GAR", M=8, T=0.5, R=0.0,
-                    frames=1000, warmup=10))
+        [r] = run_many([cfg(scheme="CR-NOMA", gen_model="GAR", M=8, T=0.5, R=0.0,
+                            frames=1000, warmup=10)])
         for k in range(8):
             m = k + 1 if k < 4 else k - 3
             assert r.per_user_aoi[k] == pytest.approx(m * 0.5 + 2.0, rel=1e-12)
@@ -408,12 +495,12 @@ class TestAgainstClosedForms:
     def test_overall_within_3_sigma(self, scheme, gen, M, T, R, snr):
         c = cfg(scheme=scheme, gen_model=gen, M=M, T=T, R=R, snr_db=snr,
                 frames=40_000, seed=11)
-        r = run(c)
+        [r] = run_many([c])
         expect = analytic.closed_form_aoi(scheme, gen, M, T, c.eps, c.P, c.P)
         assert abs(r.overall_aoi - expect) < max(r.overall_halfwidth, 0.02 * expect)
 
     def test_report_mean_invariant(self):
-        r = run(cfg(frames=2000))
+        [r] = run_many([cfg(frames=2000)])
         assert r.overall_aoi == pytest.approx(np.mean(r.per_user_aoi), abs=1e-12)
 
 
