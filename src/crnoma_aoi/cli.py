@@ -49,7 +49,8 @@ _SPEC_KEYS = {
 def _load_config_file(path: str) -> dict:
     """Flat key=value document; '#' starts a comment.  Each line is checked as
     it is read; an error starts ``path:lineno: key:``.  ``preset`` names a
-    preset or is empty (none); other keys parse by their ``_SPEC_KEYS`` type."""
+    preset or is empty (none); other keys parse by their ``_SPEC_KEYS`` type
+    and must be among its choices, if it has any."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -67,7 +68,11 @@ def _load_config_file(path: str) -> dict:
                 elif key not in _SPEC_KEYS:
                     raise ValueError("unknown config key")
                 else:
-                    value = _SPEC_KEYS[key][1].get("type", str)(value)
+                    kwargs = _SPEC_KEYS[key][1]
+                    value = kwargs.get("type", str)(value)
+                    if "choices" in kwargs and value not in kwargs["choices"]:
+                        raise ValueError(f"must be one of {kwargs['choices']}, "
+                                         f"got {value!r}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
             values[key] = value

@@ -5,11 +5,12 @@ produce one row per requested user (per-user AoI is the interesting quantity
 there).  Rows are emitted in sorted axis order so that identical specs yield
 byte-identical CSV documents.
 
-The grid points of one M share one seed, derived from (spec seed, M), and so
-their channel draws; adding a grid point reseeds none of the others.
-:meth:`ExperimentSpec.validate` builds each point's :class:`SystemConfig`
-once, at that seed, and :func:`run_experiment` simulates and prints those
-configs.
+Every grid point is simulated at the spec's seed.  The simulator derives
+its streams from (seed, M), so the points of one M share their channel draws
+and distinct M draw unrelated ones; adding a grid point reseeds none of the
+others.  :meth:`ExperimentSpec.validate` builds each point's
+:class:`SystemConfig` once, and :func:`run_experiment` simulates and prints
+those configs.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from __future__ import annotations
 import io
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
 
 from .analytic import closed_form_aoi
 from .model import SCHEMES, SystemConfig, db_to_linear
@@ -50,10 +49,10 @@ class ExperimentSpec:
     def validate(self) -> dict[tuple, SystemConfig]:
         """Reject a bad spec before any point is simulated, and return its
         grid in sorted order: ``(scheme, M, T, R, snr_db) -> SystemConfig``,
-        each config at its sweep seed.  The configs hold the per-point rules
-        (even M, finite T, R and SNR, known scheme, frames > warmup).  The
-        seed must be >= 0, axes must be non-empty and, like ``users``, free
-        of duplicates; a non-empty ``users`` applies to GAR only."""
+        each config at the spec's seed.  The configs hold the per-point rules
+        (even M, finite T, R and SNR, known scheme, frames > warmup, seed
+        >= 0).  Axes must be non-empty and, like ``users``, free of
+        duplicates; a non-empty ``users`` applies to GAR only."""
         for name in ("schemes", "M_values", "T_values", "R_values",
                      "snr_db_values", "users"):
             values = getattr(self, name)
@@ -63,10 +62,6 @@ class ExperimentSpec:
                 raise ValueError(f"{name} has duplicate values: {values}")
         if self.outputs not in ("both", "analytic", "sim"):
             raise ValueError(f"outputs must be both/analytic/sim, got {self.outputs!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        # SeedSequence cannot take a negative M; SystemConfig rejects it by name
-        seeds = {M: _sweep_seed(self.seed, M) if M >= 0 else 0 for M in self.M_values}
         configs = {}
         for scheme, M, T, R, snr in sorted(itertools.product(
                 self.schemes, self.M_values, self.T_values, self.R_values,
@@ -74,7 +69,7 @@ class ExperimentSpec:
             P = db_to_linear(snr)
             configs[scheme, M, T, R, snr] = SystemConfig(
                 M=M, T=T, R=R, P=P, P_S=P, scheme=scheme, gen_model=self.gen_model,
-                frames=self.frames, warmup_frames=self.warmup, seed=seeds[M])
+                frames=self.frames, warmup_frames=self.warmup, seed=self.seed)
         if self.users and self.gen_model != "GAR":
             raise ValueError("users apply to GAR only")
         for M in self.M_values:
@@ -106,21 +101,14 @@ PRESETS: dict[str, ExperimentSpec] = {spec.preset: spec for spec in (
 )}
 
 
-def _sweep_seed(seed: int, M: int) -> int:
-    """The simulation seed of every grid point with M users: a 64-bit word
-    drawn from ``SeedSequence([seed, M])``, so distinct (seed, M) pairs get
-    unrelated streams."""
-    return int(np.random.SeedSequence([seed, M]).generate_state(1, np.uint64)[0])
-
-
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
 def run_experiment(spec: ExperimentSpec) -> str:
     """Execute the sweep and return the CSV document (header included).  A
-    row's ``seed`` column is the seed it was simulated with, so ``run_many`` of
-    the row's :class:`SystemConfig` at that seed reproduces it."""
+    row's ``seed`` column is the spec's seed, so ``run_many`` of the row's
+    :class:`SystemConfig` at that seed reproduces it."""
     configs = spec.validate()
     reports = {}
     if spec.outputs != "analytic":

@@ -59,7 +59,8 @@ class SystemConfig:
         if self.gen_model not in GEN_MODELS:
             raise ValueError(f"gen_model must be one of {GEN_MODELS}, got {self.gen_model!r}")
         if self.warmup_frames < 0 or self.frames <= self.warmup_frames:
-            raise ValueError("need frames > warmup_frames >= 0")
+            raise ValueError("need frames > warmup_frames >= 0, got "
+                             f"frames={self.frames}, warmup_frames={self.warmup_frames}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

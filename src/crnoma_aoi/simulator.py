@@ -29,8 +29,9 @@ about 10x slower than ``(mask & a) | (~mask & b)``).  Each chunk's gains are
 copied once into four contiguous rows, which every (scheme, R, P, P_S) then
 classifies at unit stride.
 
-One walk, :func:`_walk`, spawns the per-pair generators, cuts the horizon
-into chunks, draws each chunk's gains and states each pair's reset ages.
+One walk, :func:`_walk`, spawns the per-pair generators from (seed, M), cuts
+the horizon into chunks, draws each chunk's gains and states each pair's reset
+ages.
 :func:`run_many` and :func:`deliveries` consume it.  :func:`run_many` shares
 each chunk's gains among configs with the same M, model, horizon and seed,
 and classifies them per (scheme, R, P, P_S); T only scales the integer areas.
@@ -126,11 +127,14 @@ def _walk(config: SystemConfig):
     ``resets`` are the ages in slots that a delivery in slot m and in slot m'
     resets to; at t=0 each user's age is the reset age of its own slot.
     ``gains`` is the chunk's draw as four contiguous rows, and ``prev`` is as
-    in :func:`_pair_outcomes`.  Each pair has its own generator, split from
-    config.seed by ``numpy.random.SeedSequence(seed).spawn``, so results do
-    not depend on the order in which pairs are processed."""
+    in :func:`_pair_outcomes`.  Each pair has its own generator, spawned
+    from ``numpy.random.SeedSequence([config.seed, config.M])``, so results
+    do not depend on the order in which pairs are processed, and configs of
+    one seed but different M draw unrelated streams.  No other code derives
+    a simulation stream."""
     h = config.M // 2
-    for m, child in enumerate(np.random.SeedSequence(config.seed).spawn(h), start=1):
+    seq = np.random.SeedSequence([config.seed, config.M])
+    for m, child in enumerate(seq.spawn(h), start=1):
         rng = np.random.default_rng(child)
         resets = (1, 1) if config.gen_model == "GAW" else (m, m + h)
         prev = np.inf

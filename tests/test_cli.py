@@ -122,12 +122,10 @@ class TestSharedDraws:
         assert len(after) > len(before)
 
     def test_seed_streams_do_not_collide(self):
-        # under the old seed XOR run-index rule, seed 1 at index 0 equalled
-        # seed 0 at index 1
+        # every row carries the spec seed; the simulator folds M into it
         a = self.rows(run_experiment(self.spec(seed=0)))
         b = self.rows(run_experiment(self.spec(seed=1)))
-        seeds_a, seeds_b = {r["seed"] for r in a}, {r["seed"] for r in b}
-        assert len(seeds_a) == len(seeds_b) == 2 and not seeds_a & seeds_b
+        assert {r["seed"] for r in a} == {"0"} and {r["seed"] for r in b} == {"1"}
         assert all(x["aoi_sim"] != y["aoi_sim"] for x, y in zip(a, b))
 
     def test_gains_drawn_once_per_pair_and_chunk(self, monkeypatch):
@@ -167,7 +165,7 @@ class TestSweepGrid:
         assert sorted(call[0].M for call in calls) == [2, 4]
         for call in calls:
             assert call == [c for c in configs.values() if c.M == call[0].M]
-        assert len({c.seed for c in configs.values()}) == 2
+        assert {c.seed for c in configs.values()} == {spec.seed}
         for row in rows:
             key = (row["scheme"], int(row["M"]), float(row["T"]), float(row["R"]),
                    float(row["snr_db"]))
@@ -192,9 +190,9 @@ class TestSpecValidation:
                 run_experiment(spec)
 
     def test_negative_seed_rejected_before_seeding(self, monkeypatch):
-        monkeypatch.setattr(experiments, "_sweep_seed", pytest.fail)
+        monkeypatch.setattr(experiments, "run_many", pytest.fail)
         with pytest.raises(ValueError, match="seed"):
-            ExperimentSpec(seed=-1).validate()
+            run_experiment(ExperimentSpec(seed=-1))
 
     def test_negative_m_named(self):
         with pytest.raises(ValueError, match="M must be"):
@@ -386,6 +384,8 @@ class TestCliMain:
                             ("frames=", ":1: frames: invalid literal"),
                             ("T_values=0.5,abc", ":1: T_values: could not convert"),
                             ("preset=fig99", ":1: preset: unknown preset"),
+                            ("gen_model=XYZ", ":1: gen_model: must be one of"),
+                            ("warmup=-5", "warmup_frames=-5"),
                             ("outputs=bogus", "outputs must be")):
             conf.write_text(line + "\n")
             with pytest.raises(SystemExit) as exc:

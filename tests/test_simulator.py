@@ -196,6 +196,12 @@ class TestWalk:
                    if isinstance(node, ast.Name) and node.id == "draw_gains"]
         assert callers == ["_walk"]
 
+    def test_m_folded_into_stream(self):
+        # one seed at two network sizes: pair 1's first chunk must differ, or
+        # grid points of different M would share draws
+        g4, g8 = (next(simulator._walk(cfg(M=M, seed=5)))[5] for M in (4, 8))
+        assert g4.shape == g8.shape and not np.array_equal(g4, g8)
+
     def test_no_retry_before_frame_0(self):
         # under CR-NOMA/GAW, U_m' retries in slot m only after failing slot m'
         # of the frame before, so nothing is pending at t=0 and no user m'
