@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .experiments import PRESETS, ExperimentSpec, run_experiment
+from .experiments import OUTPUTS, PRESETS, ExperimentSpec, run_experiment
 from .model import GEN_MODELS, db_to_linear, epsilon_of
 from .validation import LEVELS, partition_table, print_report, run_validation
 
@@ -39,7 +39,7 @@ _SPEC_KEYS = {
     "R_values": ("--R", {"type": _list_of(float), "metavar": "0.5,1"}),
     "snr_db_values": ("--snr-db", {"type": _list_of(float), "metavar": "0,5,10"}),
     "users": ("--users", {"type": _list_of(int), "metavar": "1,5"}),
-    "outputs": (None, {}),
+    "outputs": (None, {"choices": OUTPUTS}),
     "frames": ("--frames", {"type": int}),
     "warmup": ("--warmup", {"type": int}),
     "seed": ("--seed", {"type": int}),
@@ -124,12 +124,14 @@ def _cmd_probs(args: argparse.Namespace) -> int:
     P_S = db_to_linear(args.ps_db) if args.ps_db is not None else P
     rows = partition_table(eps, P, P_S, args.trials, np.random.default_rng(args.seed))
     print(f"eps={eps:.6g} P={P:.6g} P_S={P_S:.6g} trials={args.trials}")
-    print(f"{'probability':<18}{'closed form':>14}{'monte carlo':>14}{'3sigma':>10}")
-    for group, part, est in rows:
-        for label, value, e in zip(part._fields, part, est):
-            flag = "" if e.covers(value) else "   MISMATCH"
-            print(f"{group}.{label:<12}{value:>14.6f}{e.estimate:>14.6f}"
-                  f"{e.half_width:>10.6f}{flag}")
+    entries = [(f"{group}.{label}", value, e) for group, part, est in rows
+               for label, value, e in zip(part._fields, part, est)]
+    width = max(len(name) for name, _, _ in entries)
+    print(f"{'probability':<{width}}{'closed form':>14}{'monte carlo':>14}{'3sigma':>10}")
+    for name, value, e in entries:
+        flag = "" if e.covers(value) else "   MISMATCH"
+        print(f"{name:<{width}}{value:>14.6f}{e.estimate:>14.6f}"
+              f"{e.half_width:>10.6f}{flag}")
     if P != P_S:
         print("note: closed forms are certified for P = P_S; the Monte Carlo "
               "column reflects the protocol events themselves")

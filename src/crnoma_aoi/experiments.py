@@ -27,6 +27,7 @@ CSV_HEADER = ("preset,scheme,gen_model,M,T,R,snr_db,user_id,"
               "aoi_analytic,aoi_sim,sim_ci_halfwidth,frames,seed")
 
 _DEFAULT_SNR_GRID = tuple(range(0, 41, 5))
+OUTPUTS = ("both", "analytic", "sim")
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class ExperimentSpec:
     R_values: tuple[float, ...] = (1.0,)
     snr_db_values: tuple[float, ...] = _DEFAULT_SNR_GRID
     users: tuple[int, ...] | None = None   # GAR per-user rows; None = all users
-    outputs: str = "both"                  # both | analytic | sim
+    outputs: str = "both"                  # one of OUTPUTS
     frames: int = 200_000
     warmup: int = 100
     seed: int = 1
@@ -60,8 +61,8 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must not be empty")
             if values and len(set(values)) < len(values):
                 raise ValueError(f"{name} has duplicate values: {values}")
-        if self.outputs not in ("both", "analytic", "sim"):
-            raise ValueError(f"outputs must be both/analytic/sim, got {self.outputs!r}")
+        if self.outputs not in OUTPUTS:
+            raise ValueError(f"outputs must be one of {OUTPUTS}, got {self.outputs!r}")
         configs = {}
         for scheme, M, T, R, snr in sorted(itertools.product(
                 self.schemes, self.M_values, self.T_values, self.R_values,

@@ -386,7 +386,7 @@ class TestCliMain:
                             ("preset=fig99", ":1: preset: unknown preset"),
                             ("gen_model=XYZ", ":1: gen_model: must be one of"),
                             ("warmup=-5", "warmup_frames=-5"),
-                            ("outputs=bogus", "outputs must be")):
+                            ("outputs=bogus", ":1: outputs: must be one of")):
             conf.write_text(line + "\n")
             with pytest.raises(SystemExit) as exc:
                 main(["run", "--config", str(conf)])
@@ -433,6 +433,12 @@ class TestCliMain:
         out = capsys.readouterr().out
         assert "gaw.p0" in out
         assert "MISMATCH" not in out
+        # every closed-form value ends where the header's "closed form" does
+        header, *rows = out.splitlines()[1:]
+        end = header.index("closed form") + len("closed form")
+        for row in rows:
+            name, value = row.split()[:2]
+            assert row.index(value, len(name)) + len(value) == end
 
     def test_probs_power_mismatch_notes(self, capsys):
         assert main(["probs", "--trials", "20000", "--ps-db", "5"]) == 0

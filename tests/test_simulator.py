@@ -11,8 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from crnoma_aoi import analytic, oracle, simulator
 from crnoma_aoi.model import (GEN_MODELS, SCHEMES, SystemConfig, db_to_linear,
-                              draw_gains, primary_success,
-                              secondary_capped_success)
+                              primary_success, secondary_capped_success)
 from crnoma_aoi.simulator import deliveries, run_many
 
 
@@ -22,18 +21,6 @@ def cfg(scheme="TDMA", gen_model="GAW", M=8, T=1.5, R=1.0, snr_db=0.0,
     return SystemConfig(M=M, T=T, R=R, P=P, P_S=P, scheme=scheme,
                         gen_model=gen_model, frames=frames,
                         warmup_frames=warmup, seed=seed)
-
-
-def logged_events(c):
-    """``c``'s deliveries as user -> (times, slots, reset ages), t=0 record
-    (slot 0) first.  A delivery at the end of slot k (1..M) of frame f is at
-    t = (f*M + k)*T, which gives its slot."""
-    out = {}
-    for user, (times, ages) in deliveries(c).items():
-        slots = (np.rint(times / c.T).astype(np.int64) - 1) % c.M + 1
-        slots[0] = 0
-        out[user] = (times, slots, ages)
-    return out
 
 
 class TestWindowedAverage:
@@ -102,32 +89,11 @@ class TestKernel:
              ("CR-NOMA", "GAR")]
 
     @pytest.mark.parametrize("scheme,gen", PAIRS)
-    def test_matches_oracle(self, scheme, gen):
-        # 2983 post-warm-up frames: not a multiple of 20 or of the chunk size
-        c = cfg(scheme=scheme, gen_model=gen, M=6, T=1.5, frames=3000,
-                warmup=17, seed=4)
-        events = deliveries(c)
-        assert list(events) == list(range(1, c.M + 1))
-        for times, _ages in events.values():
-            assert times[0] == 0 and np.all(np.diff(times) > 0)
-        expect = oracle.renewal_aoi(events, c.frames * c.frame_duration,
-                                    c.warmup_frames * c.frame_duration)
-        [r] = run_many([c])
-        for k in range(c.M):
-            assert abs(r.per_user_aoi[k] - expect[k + 1]) < 1e-9
-
-    @pytest.mark.parametrize("scheme,gen", PAIRS)
     def test_chunk_size_invariant(self, monkeypatch, scheme, gen):
         c = cfg(scheme=scheme, gen_model=gen, M=4, frames=1000, warmup=13)
         whole = run_many([c])
         monkeypatch.setattr(simulator, "CHUNK_FRAMES", 7)
         assert run_many([c]) == whole
-
-    def test_chunked_draws_match_one_draw(self):
-        whole = draw_gains(np.random.default_rng(8), (1000, 4))
-        rng = np.random.default_rng(8)
-        parts = [draw_gains(rng, (n, 4)) for n in (7, 300, 1, 692)]
-        assert np.array_equal(np.concatenate(parts), whole)
 
     def test_memory_bounded(self):
         # chunked frames: about 4.6 MiB here (the chunk's gains, drawn and
@@ -201,20 +167,6 @@ class TestWalk:
         # grid points of different M would share draws
         g4, g8 = (next(simulator._walk(cfg(M=M, seed=5)))[5] for M in (4, 8))
         assert g4.shape == g8.shape and not np.array_equal(g4, g8)
-
-    def test_no_retry_before_frame_0(self):
-        # under CR-NOMA/GAW, U_m' retries in slot m only after failing slot m'
-        # of the frame before, so nothing is pending at t=0 and no user m'
-        # delivers at the end of slot m of frame 0; with a retry pending at
-        # t=0, 15 of these 40 pairs deliver there
-        M = 8
-        for seed in range(10):
-            c = cfg(scheme="CR-NOMA", M=M, T=0.5, snr_db=20.0, frames=40,
-                    warmup=0, seed=seed)
-            events = deliveries(c)
-            for m in range(1, M // 2 + 1):
-                times, _ages = events[m + M // 2]
-                assert m * c.T not in times[1:]
 
 
 class TestHandBuiltGains:
@@ -439,42 +391,7 @@ class TestReferenceModel:
             assert got == reference_deliveries(c)
 
 
-class TestDeterminism:
-    def test_seed_changes_results(self):
-        [a] = run_many([cfg(frames=2000, seed=1)])
-        [b] = run_many([cfg(frames=2000, seed=2)])
-        assert a.per_user_aoi != b.per_user_aoi
-
-
-class TestResetAges:
-    def test_gaw_resets_always_to_T(self):
-        for scheme in ("TDMA", "CR-NOMA"):
-            events = logged_events(cfg(scheme=scheme, frames=2000))
-            for _times, _slots, ages in events.values():
-                assert np.all(ages == 1.5)
-
-    def test_gar_resets_in_pair_slots(self):
-        M, T = 8, 0.5
-        events = logged_events(cfg(scheme="CR-NOMA", gen_model="GAR",
-                                   M=M, T=T, frames=2000))
-        for k, (_times, _slots, ages) in events.items():
-            m = k if k <= M // 2 else k - M // 2
-            allowed = {m * T, (m + M // 2) * T}
-            assert set(np.unique(ages[1:])) <= allowed
-
-    def test_tdma_gar_resets_to_kT(self):
-        events = logged_events(cfg(scheme="TDMA", gen_model="GAR",
-                                   M=8, T=0.5, frames=2000))
-        for k, (_times, _slots, ages) in events.items():
-            assert np.all(ages[1:] == k * 0.5)
-
-
 class TestErrorFreeChannel:
-    @pytest.mark.parametrize("scheme", ["TDMA", "CR-NOMA"])
-    def test_gaw_exact(self, scheme):
-        [r] = run_many([cfg(scheme=scheme, R=0.0, frames=1000, warmup=10)])
-        assert r.overall_aoi == pytest.approx(1.5 + 8 * 1.5 / 2, rel=1e-12)
-
     def test_gar_tdma_exact(self):
         [r] = run_many([cfg(scheme="TDMA", gen_model="GAR", M=8, T=0.5, R=0.0,
                             frames=1000, warmup=10)])
@@ -514,13 +431,14 @@ class TestEventStatistics:
     def test_crnoma_gaw_frequencies_match_partition(self):
         c = cfg(scheme="CR-NOMA", gen_model="GAW", M=4, T=1.0, frames=100_000,
                 warmup=0, seed=9)
-        events = logged_events(c)
+        events = deliveries(c)
         part = analytic.gaw_partition(c.eps, c.P, c.P_S)
         M, T = c.M, c.T
         for m in (1, 2):  # the m-side of each pair
-            times, slots, _ages = events[m]
-            slots = slots[1:]
-            times = times[1:]
+            times = events[m][0][1:]   # skip the synthetic t=0 record
+            # a delivery at the end of slot k (1..M) of frame f is at
+            # t = (f*M + k)*T, which gives its slot
+            slots = (np.rint(times / T).astype(np.int64) - 1) % M + 1
             frames_first = np.count_nonzero(slots == m)
             # second-chance successes for user m happen in slot m' same frame
             frames_second = np.count_nonzero(slots == m + M // 2)
@@ -530,16 +448,3 @@ class TestEventStatistics:
             sigma2 = 3 * math.sqrt(part.p_second * (1 - part.p_second) / n)
             assert abs(frames_second / n - part.p_second) < sigma2
             assert np.all(times > 0)
-
-    def test_crnoma_gaw_renewal_interval_support(self):
-        c = cfg(scheme="CR-NOMA", gen_model="GAW", M=4, T=1.0, frames=20_000,
-                warmup=0, seed=10)
-        events = logged_events(c)
-        MT = c.frame_duration
-        for times, _slots, _ages in events.values():
-            gaps = np.diff(times[1:])  # skip the synthetic t=0 record
-            # each user's deliveries come in time order
-            assert np.all(gaps > 0)
-            # allowed values: x*MT and x*MT +- MT/2 for integer x >= 0
-            scaled = gaps / (MT / 2.0)
-            assert np.allclose(scaled, np.round(scaled), atol=1e-9)
