@@ -19,12 +19,20 @@ from dataclasses import replace
 import numpy as np
 
 from .experiments import OUTPUTS, PRESETS, ExperimentSpec, run_experiment
-from .model import GEN_MODELS, db_to_linear, epsilon_of
+from .model import (GEN_MODELS, check_M, check_scheme, db_to_linear,
+                    epsilon_of)
 from .validation import LEVELS, partition_table, print_report, run_validation
 
 
 def _list_of(cast):
-    return lambda text: tuple(cast(tok) for tok in map(str.strip, text.split(",")) if tok)
+    """Comma-separated tokens, each stripped and cast; a token the cast
+    rejects is reported with the cast's own message."""
+    def parse(text):
+        try:
+            return tuple(cast(tok) for tok in map(str.strip, text.split(",")) if tok)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(exc) from None
+    return parse
 
 
 # Each sweep-spec key once: its ``run`` flag and ``add_argument`` keywords.  A
@@ -32,9 +40,10 @@ def _list_of(cast):
 # (default str).  ``outputs`` has no flag of its own: --analytic-only and
 # --sim-only set it.  ``preset`` selects the base spec instead of overriding.
 _SPEC_KEYS = {
-    "schemes": ("--schemes", {"type": _list_of(str), "metavar": "TDMA,CR-NOMA"}),
+    "schemes": ("--schemes", {"type": _list_of(check_scheme), "metavar": "TDMA,CR-NOMA"}),
     "gen_model": ("--gen-model", {"choices": GEN_MODELS}),
-    "M_values": ("--M", {"type": _list_of(int), "metavar": "4,8"}),
+    "M_values": ("--M", {"type": _list_of(lambda tok: check_M(int(tok))),
+                         "metavar": "4,8"}),
     "T_values": ("--T", {"type": _list_of(float), "metavar": "0.5,1.5"}),
     "R_values": ("--R", {"type": _list_of(float), "metavar": "0.5,1"}),
     "snr_db_values": ("--snr-db", {"type": _list_of(float), "metavar": "0,5,10"}),
@@ -49,8 +58,9 @@ _SPEC_KEYS = {
 def _load_config_file(path: str) -> dict:
     """Flat key=value document; '#' starts a comment.  Each line is checked as
     it is read; an error starts ``path:lineno: key:``.  ``preset`` names a
-    preset or is empty (none); other keys parse by their ``_SPEC_KEYS`` type
-    and must be among its choices, if it has any."""
+    preset or is empty (none); other keys parse by their ``_SPEC_KEYS`` type,
+    which checks each token of a list, and must be among its choices, if it
+    has any."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -73,7 +83,7 @@ def _load_config_file(path: str) -> dict:
                     if "choices" in kwargs and value not in kwargs["choices"]:
                         raise ValueError(f"must be one of {kwargs['choices']}, "
                                          f"got {value!r}")
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
             values[key] = value
     return values

@@ -47,15 +47,13 @@ class SystemConfig:
         for name in ("T", "R", "P", "P_S"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.M < 2 or self.M % 2 != 0:
-            raise ValueError(f"M must be an even integer >= 2, got {self.M}")
+        check_M(self.M)
         if self.T <= 0:
             raise ValueError(f"T must be > 0, got {self.T}")
         epsilon_of(self.R)   # R >= 0 and 2^R - 1 within float range
         if self.P <= 0 or self.P_S <= 0:
             raise ValueError("P and P_S must be > 0 (linear SNR)")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        check_scheme(self.scheme)
         if self.gen_model not in GEN_MODELS:
             raise ValueError(f"gen_model must be one of {GEN_MODELS}, got {self.gen_model!r}")
         if self.warmup_frames < 0 or self.frames <= self.warmup_frames:
@@ -72,6 +70,20 @@ class SystemConfig:
     @property
     def frame_duration(self) -> float:
         return self.M * self.T
+
+
+def check_M(M: int) -> int:
+    """M itself, if it is a valid number of users: an even integer >= 2."""
+    if M < 2 or M % 2 != 0:
+        raise ValueError(f"M must be an even integer >= 2, got {M}")
+    return M
+
+
+def check_scheme(scheme: str) -> str:
+    """scheme itself, if it is one of SCHEMES."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    return scheme
 
 
 def _power(base: float, x: float) -> float:
@@ -102,7 +114,7 @@ def db_to_linear(x_db: float) -> float:
 
 def draw_gains(rng: np.random.Generator, size) -> np.ndarray:
     """Draw squared channel magnitudes |h|^2 for h ~ CN(0, 1), i.e. Exp(1)."""
-    return rng.exponential(size=size)
+    return rng.standard_exponential(size)
 
 
 def primary_success(P, g, eps):

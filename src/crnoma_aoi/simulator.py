@@ -29,6 +29,12 @@ about 10x slower than ``(mask & a) | (~mask & b)``).  Each chunk's gains are
 copied once into four contiguous rows, which every (scheme, R, P, P_S) then
 classifies at unit stride.
 
+Origins are int32 while every one fits, else int64 (:func:`_origin_dtype`).
+Each (pair, chunk) builds its candidate rows for slots m and m' once, as a
+(2, n) array that every (config, user) masks into one reused work array.  The
+frame-start origins sum to origin_in + sum(o_mp) - last, so a chunk's area
+takes one int64 sum of that array, and a warm-up chunk takes none.
+
 One walk, :func:`_walk`, spawns the per-pair generators from (seed, M), cuts
 the horizon into chunks, draws each chunk's gains and states each pair's reset
 ages.
@@ -103,6 +109,12 @@ def _pair_outcomes(cfg: SystemConfig, gains: np.ndarray, prev: float):
     return ((sm1, ~sm1 & sm2), (sp1, ~sp1 & sp2))
 
 
+def _origin_dtype(frames: int, M: int):
+    """Integer dtype of the slot origins of a ``frames``-frame horizon: every
+    origin is below (frames + 1) * M, so int32 while that fits, else int64."""
+    return np.int32 if (frames + 1) * M <= np.iinfo(np.int32).max else np.int64
+
+
 def _batch_edges(config: SystemConfig) -> list[int]:
     """Frame indices splitting the post-warm-up window into N_BATCHES blocks
     of whole frames."""
@@ -167,32 +179,35 @@ def run_many(configs: list[SystemConfig]) -> list[AoiReport]:
     # twice each user's area per batch, in slot^2; Python ints cannot overflow
     areas = {key: [[0] * N_BATCHES for _ in range(M)] for key in keyed}
     origins: dict = {}   # (key, m) -> U_m's and U_m''s origin, in slots
+    dtype = _origin_dtype(first.frames, M)
     for m, (r_m, r_mp), start, n, batch, gains, prev in _walk(first):
-        base = (start + 1 + np.arange(n, dtype=np.int64)) * M
+        # each frame's candidate origins after slot m and after slot m'
+        cand = ((start + 1 + np.arange(n, dtype=dtype)) * M
+                + np.array([[m - r_m], [m + h - r_mp]], dtype=dtype))
+        work = np.empty_like(cand)
         sum_base = M * (n * (start + 1) + n * (n - 1) // 2)
         for key, cfg in keyed.items():
             origin = origins.setdefault((key, m), [M - r_m, M - r_mp])
-            for u, (at_m, at_mp) in enumerate(_pair_outcomes(cfg, gains, prev)):
+            for u, masks in enumerate(_pair_outcomes(cfg, gains, prev)):
                 # origin after slot m, then after slot m', of every frame;
                 # 0 (no later than any origin) stands for no delivery
-                o_m = base + (m - r_m)
-                o_m *= at_m
+                np.multiply(cand, masks, out=work)
+                o_m, o_mp = work
                 o_m[0] = max(o_m[0], origin[u])
-                o_mp = base + (m + h - r_mp)
-                o_mp *= at_mp
                 np.maximum(o_mp, o_m, out=o_mp)
                 np.maximum.accumulate(o_mp, out=o_mp)
                 np.maximum(o_m[1:], o_mp[:-1], out=o_m[1:])
-                s_m, s_mp = int(o_m.sum()), int(o_mp.sum())
                 last = int(o_mp[-1])
-                s_start = origin[u] + s_mp - last
-                origin[u] = last
                 if batch >= 0:
                     # per frame, sum over its segments [a, b] of
                     # (b - a)(a + b - 2 o) = M^2 + 2 (m d0 + h d1 + (h - m) d2)
-                    # with d = frame start - origin of the segment
+                    # with d = frame start - origin of the segment; the
+                    # frame-start origins sum to origin[u] + sum(o_mp) - last,
+                    # so the d1 and d2 terms take one sum over both rows
                     areas[key][(m - 1) + u * h][batch] += n * M * M + 2 * (
-                        M * sum_base - m * s_start - h * s_m - (h - m) * s_mp)
+                        M * sum_base - m * (origin[u] - last)
+                        - h * int(work.sum(dtype=np.int64)))
+                origin[u] = last
     return [_report(c, areas[(c.scheme, c.R, c.P, c.P_S)]) for c in configs]
 
 
@@ -203,7 +218,7 @@ def _report(config: SystemConfig, areas: list[list[int]]) -> AoiReport:
     batch_aoi = np.array(areas, dtype=np.float64) * T / (2 * M * sizes)
     per_user = [sum(a) * T / (2 * M * n_used) for a in areas]
     se = np.std(batch_aoi, axis=1, ddof=1) / np.sqrt(N_BATCHES)
-    overall_se = float(np.std(batch_aoi.mean(axis=0), ddof=1)) / np.sqrt(N_BATCHES)
+    overall_se = float(np.std(batch_aoi.mean(axis=0), ddof=1) / np.sqrt(N_BATCHES))
     return AoiReport(
         per_user_aoi=per_user,
         overall_aoi=float(np.mean(per_user)),

@@ -386,7 +386,9 @@ class TestCliMain:
                             ("preset=fig99", ":1: preset: unknown preset"),
                             ("gen_model=XYZ", ":1: gen_model: must be one of"),
                             ("warmup=-5", "warmup_frames=-5"),
-                            ("outputs=bogus", ":1: outputs: must be one of")):
+                            ("outputs=bogus", ":1: outputs: must be one of"),
+                            ("schemes=TDMA,XYZ", ":1: schemes: scheme must be one of"),
+                            ("M_values=4,3", ":1: M_values: M must be an even")):
             conf.write_text(line + "\n")
             with pytest.raises(SystemExit) as exc:
                 main(["run", "--config", str(conf)])

@@ -49,6 +49,14 @@ class TestDrawGain:
         b = draw_gains(np.random.default_rng(42), 1000)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [0, 5, 2024])
+    def test_stream_is_unit_exponential(self, seed):
+        # the simulator's gains are numpy's Exp(1) stream, bit for bit
+        n = 50_000
+        a = draw_gains(np.random.default_rng(seed), (n, 4))
+        b = np.random.default_rng(seed).exponential(size=(n, 4))
+        assert a.tobytes() == b.tobytes()
+
 
 class TestSuccessPredicates:
     def test_primary_boundary_counts_as_success(self):

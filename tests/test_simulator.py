@@ -95,8 +95,21 @@ class TestKernel:
         monkeypatch.setattr(simulator, "CHUNK_FRAMES", 7)
         assert run_many([c]) == whole
 
+    def test_origin_dtype_widens_past_int32(self):
+        # every origin is below (frames + 1) * M; M = 1 puts that product
+        # at 2**31 - 1 exactly, and one frame more is one slot past it
+        assert simulator._origin_dtype(2 ** 31 - 2, 1) == np.int32
+        assert simulator._origin_dtype(2 ** 31 - 1, 1) == np.int64
+
+    @pytest.mark.parametrize("scheme,gen", PAIRS)
+    def test_wide_origins_invariant(self, monkeypatch, scheme, gen):
+        c = cfg(scheme=scheme, gen_model=gen, M=4, frames=1000, warmup=13)
+        narrow = run_many([c])
+        monkeypatch.setattr(simulator, "_origin_dtype", lambda frames, M: np.int64)
+        assert run_many([c]) == narrow
+
     def test_memory_bounded(self):
-        # chunked frames: about 4.6 MiB here (the chunk's gains, drawn and
+        # chunked frames: about 4.3 MiB here (the chunk's gains, drawn and
         # copied into contiguous rows, and its origin arrays), where event
         # arrays for this horizon would take hundreds of MiB
         tracemalloc.start()
@@ -251,6 +264,15 @@ class TestRunMany:
     def test_rejects_empty_list(self):
         with pytest.raises(ValueError):
             run_many([])
+
+    @pytest.mark.parametrize("gen", GEN_MODELS)
+    def test_report_holds_python_floats(self, gen):
+        # the areas are Python ints; a numpy integer among them would wrap
+        # silently at long horizons and turn the AoI into np.float64
+        [r] = run_many([cfg(scheme="CR-NOMA", gen_model=gen, frames=2000)])
+        assert all(type(x) is float for x in (
+            *r.per_user_aoi, r.overall_aoi, *r.per_user_halfwidth,
+            r.overall_halfwidth))
 
 
 @st.composite
