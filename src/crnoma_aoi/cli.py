@@ -18,21 +18,27 @@ from dataclasses import replace
 
 import numpy as np
 
-from .experiments import OUTPUTS, PRESETS, ExperimentSpec, run_experiment
-from .model import (GEN_MODELS, check_M, check_scheme, db_to_linear,
-                    epsilon_of)
+from .experiments import (OUTPUTS, PRESETS, ExperimentSpec, check_users,
+                          run_experiment)
+from .model import (GEN_MODELS, check_M, check_scheme, check_seed, check_T,
+                    db_to_linear, epsilon_of)
 from .validation import LEVELS, partition_table, print_report, run_validation
 
 
-def _list_of(cast):
-    """Comma-separated tokens, each stripped and cast; a token the cast
-    rejects is reported with the cast's own message."""
+def _checked(cast):
+    """``cast``, whose rejection is reported with the cast's own message."""
     def parse(text):
         try:
-            return tuple(cast(tok) for tok in map(str.strip, text.split(",")) if tok)
+            return cast(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(exc) from None
     return parse
+
+
+def _list_of(cast):
+    """Comma-separated tokens, each stripped and cast by ``_checked(cast)``."""
+    return _checked(lambda text: tuple(
+        cast(tok) for tok in map(str.strip, text.split(",")) if tok))
 
 
 # Each sweep-spec key once: its ``run`` flag and ``add_argument`` keywords.  A
@@ -44,24 +50,25 @@ _SPEC_KEYS = {
     "gen_model": ("--gen-model", {"choices": GEN_MODELS}),
     "M_values": ("--M", {"type": _list_of(lambda tok: check_M(int(tok))),
                          "metavar": "4,8"}),
-    "T_values": ("--T", {"type": _list_of(float), "metavar": "0.5,1.5"}),
+    "T_values": ("--T", {"type": _list_of(lambda tok: check_T(float(tok))),
+                         "metavar": "0.5,1.5"}),
     "R_values": ("--R", {"type": _list_of(float), "metavar": "0.5,1"}),
     "snr_db_values": ("--snr-db", {"type": _list_of(float), "metavar": "0,5,10"}),
     "users": ("--users", {"type": _list_of(int), "metavar": "1,5"}),
     "outputs": (None, {"choices": OUTPUTS}),
     "frames": ("--frames", {"type": int}),
     "warmup": ("--warmup", {"type": int}),
-    "seed": ("--seed", {"type": int}),
+    "seed": ("--seed", {"type": _checked(lambda tok: check_seed(int(tok)))}),
 }
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str) -> tuple[dict, dict]:
     """Flat key=value document; '#' starts a comment.  Each line is checked as
     it is read; an error starts ``path:lineno: key:``.  ``preset`` names a
     preset or is empty (none); other keys parse by their ``_SPEC_KEYS`` type,
     which checks each token of a list, and must be among its choices, if it
-    has any."""
-    values = {}
+    has any.  Returns key -> value and key -> line number."""
+    values, lines = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -85,19 +92,29 @@ def _load_config_file(path: str) -> dict:
                                          f"got {value!r}")
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-            values[key] = value
-    return values
+            values[key], lines[key] = value, lineno
+    return values, lines
 
 
 def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
     """Precedence: flag > config file > preset > defaults; the --preset flag
     beats the file's ``preset``."""
-    values = _load_config_file(args.config) if args.config else {}
+    values, lines = _load_config_file(args.config) if args.config else ({}, {})
     file_preset = values.pop("preset", "")
     preset = args.preset or file_preset
     spec = replace(PRESETS[preset] if preset else ExperimentSpec(), **values)
-    flags = {key: getattr(args, key) for key in _SPEC_KEYS}
-    return replace(spec, **{k: v for k, v in flags.items() if v is not None})
+    flags = {key: getattr(args, key) for key in _SPEC_KEYS
+             if getattr(args, key) is not None}
+    spec = replace(spec, **flags)
+    # the one rule over two keys, checked here if the file set either key
+    where = [f"{args.config}:{lines[k]}: {k}" for k in ("users", "M_values")
+             if k in lines and k not in flags]
+    if where:
+        try:
+            check_users(spec.users, spec.M_values)
+        except ValueError as exc:
+            raise ValueError(f"{' and '.join(where)}: {exc}") from None
+    return spec
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -124,8 +141,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_probs(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    check_seed(args.seed)
     for flag, value in (("--R", args.R), ("--snr-db", args.snr_db), ("--ps-db", args.ps_db)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")

@@ -73,11 +73,16 @@ class ExperimentSpec:
                 frames=self.frames, warmup_frames=self.warmup, seed=self.seed)
         if self.users and self.gen_model != "GAR":
             raise ValueError("users apply to GAR only")
-        for M in self.M_values:
-            for u in self.users or ():
-                if not 1 <= u <= M:
-                    raise ValueError(f"user {u} out of range for M={M}")
+        check_users(self.users, self.M_values)
         return configs
+
+
+def check_users(users: tuple[int, ...] | None, M_values: tuple[int, ...]) -> None:
+    """Reject a requested user outside 1..M at some M of the sweep."""
+    for M in M_values:
+        for u in users or ():
+            if not 1 <= u <= M:
+                raise ValueError(f"user {u} out of range for M={M}")
 
 
 # Axis values mirror the reference figure setups; fig5 sweeps M at a small

@@ -44,12 +44,11 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("T", "R", "P", "P_S"):
+        for name in ("R", "P", "P_S"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         check_M(self.M)
-        if self.T <= 0:
-            raise ValueError(f"T must be > 0, got {self.T}")
+        check_T(self.T)
         epsilon_of(self.R)   # R >= 0 and 2^R - 1 within float range
         if self.P <= 0 or self.P_S <= 0:
             raise ValueError("P and P_S must be > 0 (linear SNR)")
@@ -59,8 +58,7 @@ class SystemConfig:
         if self.warmup_frames < 0 or self.frames <= self.warmup_frames:
             raise ValueError("need frames > warmup_frames >= 0, got "
                              f"frames={self.frames}, warmup_frames={self.warmup_frames}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
 
     @property
     def eps(self) -> float:
@@ -77,6 +75,22 @@ def check_M(M: int) -> int:
     if M < 2 or M % 2 != 0:
         raise ValueError(f"M must be an even integer >= 2, got {M}")
     return M
+
+
+def check_T(T: float) -> float:
+    """T itself, if it is a valid slot duration: finite and > 0."""
+    if not math.isfinite(T):
+        raise ValueError(f"T must be finite, got {T}")
+    if T <= 0:
+        raise ValueError(f"T must be > 0, got {T}")
+    return T
+
+
+def check_seed(seed: int) -> int:
+    """seed itself, if it is a valid seed: an integer >= 0."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def check_scheme(scheme: str) -> str:

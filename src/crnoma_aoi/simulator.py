@@ -35,12 +35,17 @@ Each (pair, chunk) builds its candidate rows for slots m and m' once, as a
 frame-start origins sum to origin_in + sum(o_mp) - last, so a chunk's area
 takes one int64 sum of that array, and a warm-up chunk takes none.
 
-One walk, :func:`_walk`, spawns the per-pair generators from (seed, M), cuts
-the horizon into chunks, draws each chunk's gains and states each pair's reset
-ages.
+Pairs are the unit of work.  No state crosses pairs: each has its own
+generator, its own two users and its own origins.  One walk, :func:`_walk`,
+spawns one pair's generator from (seed, M), cuts the horizon into chunks,
+draws each chunk's gains and states the pair's reset ages.
 :func:`run_many` and :func:`deliveries` consume it.  :func:`run_many` shares
 each chunk's gains among configs with the same M, model, horizon and seed,
 and classifies them per (scheme, R, P, P_S); T only scales the integer areas.
+:func:`_pair_areas` integrates one pair, and :func:`_integrate` runs it over
+the pairs, in forked worker processes when the run is long enough to pay
+for them.  The areas of a pair are the same Python ints in any process, so
+a report is bit-identical however its pairs were spread.
 :func:`deliveries` returns the same deliveries as arrays, per user, for
 :func:`crnoma_aoi.oracle.renewal_aoi` to integrate independently: integer
 slot ends, multiplied by T once, of only the chunks that deliver.
@@ -48,6 +53,9 @@ slot ends, multiplied by T once, of only the chunks that deliver.
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +65,8 @@ from .model import (SystemConfig, draw_gains, primary_success,
 
 N_BATCHES = 20
 CHUNK_FRAMES = 1 << 15
+# configs x frames x M/2 below which run_many integrates in one process
+FORK_CONFIG_PAIR_FRAMES = 400_000
 
 
 @dataclass(frozen=True)
@@ -133,61 +143,44 @@ def _chunks(config: SystemConfig):
             yield start, min(CHUNK_FRAMES, hi - start), batch
 
 
-def _walk(config: SystemConfig):
-    """Yield ``(m, resets, start, n, batch, gains, prev)`` for each pair
-    (U_m, U_m') in order of m and each of its :func:`_chunks` in order.
-    ``resets`` are the ages in slots that a delivery in slot m and in slot m'
-    resets to; at t=0 each user's age is the reset age of its own slot.
-    ``gains`` is the chunk's draw as four contiguous rows, and ``prev`` is as
-    in :func:`_pair_outcomes`.  Each pair has its own generator, spawned
-    from ``numpy.random.SeedSequence([config.seed, config.M])``, so results
-    do not depend on the order in which pairs are processed, and configs of
-    one seed but different M draw unrelated streams.  No other code derives
-    a simulation stream."""
+def _walk(config: SystemConfig, m: int):
+    """Yield ``(resets, start, n, batch, gains, prev)`` for pair (U_m, U_m')
+    and each of its :func:`_chunks` in order.  ``resets`` are the ages in
+    slots that a delivery in slot m and in slot m' resets to; at t=0 each
+    user's age is the reset age of its own slot.  ``gains`` is the chunk's
+    draw as four contiguous rows, and ``prev`` is as in
+    :func:`_pair_outcomes`.  Each pair has its own generator, child m - 1 of
+    ``numpy.random.SeedSequence([config.seed, config.M])``, so results do
+    not depend on the order or the process in which pairs are integrated,
+    and configs of one seed but different M draw unrelated streams.  No
+    other code derives a simulation stream."""
     h = config.M // 2
-    seq = np.random.SeedSequence([config.seed, config.M])
-    for m, child in enumerate(seq.spawn(h), start=1):
-        rng = np.random.default_rng(child)
-        resets = (1, 1) if config.gen_model == "GAW" else (m, m + h)
-        prev = np.inf
-        for start, n, batch in _chunks(config):
-            gains = np.ascontiguousarray(draw_gains(rng, (n, 4)).T)
-            yield m, resets, start, n, batch, gains, prev
-            prev = gains[3, -1]
+    rng = np.random.default_rng(np.random.SeedSequence(
+        [config.seed, config.M], spawn_key=(m - 1,)))
+    resets = (1, 1) if config.gen_model == "GAW" else (m, m + h)
+    prev = np.inf
+    for start, n, batch in _chunks(config):
+        gains = np.ascontiguousarray(draw_gains(rng, (n, 4)).T)
+        yield resets, start, n, batch, gains, prev
+        prev = gains[3, -1]
 
 
-def run_many(configs: list[SystemConfig]) -> list[AoiReport]:
-    """Simulate configs that share (M, gen_model, frames, warmup_frames, seed)
-    on common gain draws; return one report per config, in order: the exact
-    time-average AoI per user over the post-warm-up window, with half-widths
-    of 3 standard errors over N_BATCHES = 20 batch means (about 99.3 % under
-    t_19); each batch is a block of whole frames.  A config's report does not
-    depend on the others in the list, and is deterministic given (config,
-    seed).  Each distinct (scheme, R, P, P_S) is integrated once, with its own
-    origins; T is applied only at the end."""
-    if len({(c.M, c.gen_model, c.frames, c.warmup_frames, c.seed)
-            for c in configs}) != 1:
-        raise ValueError("run_many needs one or more configs sharing M, "
-                         "gen_model, frames, warmup_frames and seed")
-    first = configs[0]
-    M, h = first.M, first.M // 2
-    n_used = first.frames - first.warmup_frames
-    if n_used < N_BATCHES:
-        raise ValueError(f"need at least {N_BATCHES} frames after warm-up, "
-                         f"got {n_used}")
-    keyed = {(c.scheme, c.R, c.P, c.P_S): c for c in configs}
-    # twice each user's area per batch, in slot^2; Python ints cannot overflow
-    areas = {key: [[0] * N_BATCHES for _ in range(M)] for key in keyed}
-    origins: dict = {}   # (key, m) -> U_m's and U_m''s origin, in slots
-    dtype = _origin_dtype(first.frames, M)
-    for m, (r_m, r_mp), start, n, batch, gains, prev in _walk(first):
+def _pair_areas(config: SystemConfig, keyed: dict, m: int) -> dict:
+    """Twice the per-batch areas, in slot^2, of U_m and U_m' under each
+    config of ``keyed``: key -> (U_m's row, U_m''s row).  Each key is
+    integrated with its own origins; Python ints cannot overflow."""
+    M, h = config.M, config.M // 2
+    dtype = _origin_dtype(config.frames, M)
+    areas = {key: ([0] * N_BATCHES, [0] * N_BATCHES) for key in keyed}
+    origins: dict = {}   # key -> U_m's and U_m''s origin, in slots
+    for (r_m, r_mp), start, n, batch, gains, prev in _walk(config, m):
         # each frame's candidate origins after slot m and after slot m'
         cand = ((start + 1 + np.arange(n, dtype=dtype)) * M
                 + np.array([[m - r_m], [m + h - r_mp]], dtype=dtype))
         work = np.empty_like(cand)
         sum_base = M * (n * (start + 1) + n * (n - 1) // 2)
         for key, cfg in keyed.items():
-            origin = origins.setdefault((key, m), [M - r_m, M - r_mp])
+            origin = origins.setdefault(key, [M - r_m, M - r_mp])
             for u, masks in enumerate(_pair_outcomes(cfg, gains, prev)):
                 # origin after slot m, then after slot m', of every frame;
                 # 0 (no later than any origin) stands for no delivery
@@ -204,10 +197,136 @@ def run_many(configs: list[SystemConfig]) -> list[AoiReport]:
                     # with d = frame start - origin of the segment; the
                     # frame-start origins sum to origin[u] + sum(o_mp) - last,
                     # so the d1 and d2 terms take one sum over both rows
-                    areas[key][(m - 1) + u * h][batch] += n * M * M + 2 * (
+                    areas[key][u][batch] += n * M * M + 2 * (
                         M * sum_base - m * (origin[u] - last)
                         - h * int(work.sum(dtype=np.int64)))
                 origin[u] = last
+    return areas
+
+
+def _take_pairs(config: SystemConfig, keyed: dict, queue: int) -> dict:
+    """Read pair numbers from the pipe ``queue`` one at a time until it is
+    empty and integrate each: pair -> :func:`_pair_areas`."""
+    areas = {}
+    while data := os.read(queue, 4):
+        m = int.from_bytes(data, "little")
+        areas[m] = _pair_areas(config, keyed, m)
+    return areas
+
+
+def _drain(queue: int) -> None:
+    """Empty the pair pipe, so that every worker stops after its pair."""
+    while os.read(queue, 4):
+        pass
+
+
+def _integrate(config: SystemConfig, keyed: dict) -> dict:
+    """pair -> :func:`_pair_areas` for every pair of ``config``.  A run of
+    FORK_CONFIG_PAIR_FRAMES or more, counted over the configs of ``keyed``,
+    forks one worker per further usable CPU, up to one process per pair;
+    the parent and the workers take pair numbers from one pipe, and each
+    worker pickles its pairs' areas back through a pipe of its own.  A
+    worker's exception is raised here.  Each process is pinned to a CPU of
+    its own, and the parent's CPU set is restored before it returns: left
+    to itself, the scheduler kept parent and worker on one CPU in 2 of
+    15 runs.  The run stays in this process without
+    ``os.sched_getaffinity`` (not Linux), with one usable CPU or one pair,
+    or while another thread is alive, since forking a threaded process can
+    deadlock."""
+    h = config.M // 2
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    workers = min(len(cpus), h)
+    if (workers < 2 or threading.active_count() > 1
+            or len(keyed) * config.frames * h < FORK_CONFIG_PAIR_FRAMES):
+        return {m: _pair_areas(config, keyed, m) for m in range(1, h + 1)}
+    queue_r, queue_w = os.pipe()
+    replies: dict = {}   # worker pid -> read end of its reply pipe, as a file
+    try:
+        try:
+            for cpu in cpus[1:workers]:
+                reply_r, reply_w = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    inherited = [queue_w, reply_r, *(r.fileno() for r in replies.values())]
+                    _worker(config, keyed, cpu, queue_r, inherited, reply_w)
+                os.close(reply_w)
+                replies[pid] = open(reply_r, "rb")
+            # written once the workers run, since they read while the pipe
+            # fills, in writes of at most PIPE_BUF >= 512 bytes, each atomic,
+            # so that every 4-byte read takes one whole pair number
+            queue = b"".join(m.to_bytes(4, "little") for m in range(1, h + 1))
+            for at in range(0, len(queue), 512):
+                os.write(queue_w, queue[at:at + 512])
+        finally:
+            os.close(queue_w)
+        os.sched_setaffinity(0, cpus[:1])
+        areas = _take_pairs(config, keyed, queue_r)
+        for pid, reply in replies.items():
+            data = reply.read()
+            if not data:
+                raise ChildProcessError(f"run_many worker {pid} sent no result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            areas.update(value)
+        return areas
+    finally:
+        _drain(queue_r)
+        os.close(queue_r)
+        for pid, reply in replies.items():
+            reply.close()
+            os.waitpid(pid, 0)
+        os.sched_setaffinity(0, cpus)
+
+
+def _worker(config: SystemConfig, keyed: dict, cpu: int, queue: int,
+            inherited: list[int], reply_w: int) -> None:
+    """A forked worker's whole life: close the ``inherited`` descriptors it
+    has no use for, move to ``cpu``, take pairs from ``queue`` and pickle
+    ``(True, areas)``, or ``(False, exception)`` after emptying the queue,
+    to ``reply_w``; then end the process without running any of the
+    parent's clean-up."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            os.sched_setaffinity(0, {cpu})
+            reply = (True, _take_pairs(config, keyed, queue))
+        except BaseException as exc:
+            _drain(queue)
+            reply = (False, exc)
+        with open(reply_w, "wb") as fh:
+            pickle.dump(reply, fh)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def run_many(configs: list[SystemConfig]) -> list[AoiReport]:
+    """Simulate configs that share (M, gen_model, frames, warmup_frames, seed)
+    on common gain draws; return one report per config, in order: the exact
+    time-average AoI per user over the post-warm-up window, with half-widths
+    of 3 standard errors over N_BATCHES = 20 batch means (about 99.3 % under
+    t_19); each batch is a block of whole frames.  A config's report does not
+    depend on the others in the list, and is deterministic given (config,
+    seed), whichever process integrates each pair.  Each distinct (scheme,
+    R, P, P_S) is integrated once, with its own origins; T is applied only
+    at the end."""
+    if len({(c.M, c.gen_model, c.frames, c.warmup_frames, c.seed)
+            for c in configs}) != 1:
+        raise ValueError("run_many needs one or more configs sharing M, "
+                         "gen_model, frames, warmup_frames and seed")
+    first = configs[0]
+    n_used = first.frames - first.warmup_frames
+    if n_used < N_BATCHES:
+        raise ValueError(f"need at least {N_BATCHES} frames after warm-up, "
+                         f"got {n_used}")
+    keyed = {(c.scheme, c.R, c.P, c.P_S): c for c in configs}
+    pairs = _integrate(first, keyed)
+    # users 1..M/2 are the pairs' U_m, users M/2+1..M their U_m'
+    areas = {key: [pairs[m][key][u] for u in (0, 1)
+                   for m in range(1, first.M // 2 + 1)] for key in keyed}
     return [_report(c, areas[(c.scheme, c.R, c.P, c.P_S)]) for c in configs]
 
 
@@ -235,15 +354,16 @@ def deliveries(config: SystemConfig) -> dict[int, tuple[np.ndarray, np.ndarray]]
     :func:`_walk` in which it delivers (each classified once per pair)."""
     M, h, T = config.M, config.M // 2, config.T
     records: dict[int, tuple[list, list]] = {}
-    for m, resets, start, n, _batch, gains, prev in _walk(config):
-        # ends of slots m and m' of every frame; row-major order is time order
-        ends = ((start + np.arange(n))[:, None] * M + (m, m + h)) * T
-        ages = np.broadcast_to(np.multiply(resets, T), ends.shape)
-        for u, masks in enumerate(_pair_outcomes(config, gains, prev)):
-            times, user_ages = records.setdefault(
-                m + u * h, ([np.zeros(1)], [np.array([resets[u] * T])]))
-            hit = np.column_stack(masks)
-            if hit.any():
-                times.append(ends[hit])
-                user_ages.append(ages[hit])
+    for m in range(1, h + 1):
+        for resets, start, n, _batch, gains, prev in _walk(config, m):
+            # ends of slots m and m' of every frame; row-major order is time order
+            ends = ((start + np.arange(n))[:, None] * M + (m, m + h)) * T
+            ages = np.broadcast_to(np.multiply(resets, T), ends.shape)
+            for u, masks in enumerate(_pair_outcomes(config, gains, prev)):
+                times, user_ages = records.setdefault(
+                    m + u * h, ([np.zeros(1)], [np.array([resets[u] * T])]))
+                hit = np.column_stack(masks)
+                if hit.any():
+                    times.append(ends[hit])
+                    user_ages.append(ages[hit])
     return {u: tuple(map(np.concatenate, records[u])) for u in sorted(records)}

@@ -388,12 +388,31 @@ class TestCliMain:
                             ("warmup=-5", "warmup_frames=-5"),
                             ("outputs=bogus", ":1: outputs: must be one of"),
                             ("schemes=TDMA,XYZ", ":1: schemes: scheme must be one of"),
-                            ("M_values=4,3", ":1: M_values: M must be an even")):
+                            ("M_values=4,3", ":1: M_values: M must be an even"),
+                            ("T_values=0.5,-1", ":1: T_values: T must be > 0"),
+                            ("seed=-1", ":1: seed: seed must be >= 0")):
             conf.write_text(line + "\n")
             with pytest.raises(SystemExit) as exc:
                 main(["run", "--config", str(conf)])
             assert exc.value.code == 2
             assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines,flags,error", [
+        ("gen_model=GAR\nM_values=8\nusers=0", [],
+         ":3: users and {conf}:2: M_values: user 0 out of range for M=8"),
+        ("gen_model=GAR\nM_values=8\nusers=5", ["--M", "4"],
+         ":3: users: user 5 out of range for M=4"),
+        ("preset=fig6a\nM_values=2", [], ":2: M_values: user 3 out of range for M=2")])
+    def test_config_users_rule_names_its_lines(self, tmp_path, capsys, lines,
+                                              flags, error):
+        # users must lie in 1..M: the error names each line of the file that
+        # set one of the two keys, unless a flag overrode it
+        conf = tmp_path / "users.conf"
+        conf.write_text(lines + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--analytic-only", "--config", str(conf), *flags])
+        assert exc.value.code == 2
+        assert f"error: {conf}{error.format(conf=conf)}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("gen_model", ["GAW", "GAR"])
     def test_run_never_delivering_prints_inf(self, gen_model, capsys):

@@ -1,6 +1,9 @@
 import ast
 import inspect
 import math
+import os
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -108,10 +111,12 @@ class TestKernel:
         monkeypatch.setattr(simulator, "_origin_dtype", lambda frames, M: np.int64)
         assert run_many([c]) == narrow
 
-    def test_memory_bounded(self):
+    def test_memory_bounded(self, monkeypatch):
         # chunked frames: about 4.3 MiB here (the chunk's gains, drawn and
         # copied into contiguous rows, and its origin arrays), where event
-        # arrays for this horizon would take hundreds of MiB
+        # arrays for this horizon would take hundreds of MiB; serial, so
+        # that the trace sees every pair
+        monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", math.inf)
         tracemalloc.start()
         try:
             run_many([cfg(M=8, frames=2_000_000, warmup=100)])
@@ -178,7 +183,7 @@ class TestWalk:
     def test_m_folded_into_stream(self):
         # one seed at two network sizes: pair 1's first chunk must differ, or
         # grid points of different M would share draws
-        g4, g8 = (next(simulator._walk(cfg(M=M, seed=5)))[5] for M in (4, 8))
+        g4, g8 = (next(simulator._walk(cfg(M=M, seed=5), 1))[4] for M in (4, 8))
         assert g4.shape == g8.shape and not np.array_equal(g4, g8)
 
 
@@ -275,6 +280,95 @@ class TestRunMany:
             r.overall_halfwidth))
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedPairs:
+    """run_many's pairs in forked workers: every test must leave no child
+    and the parent's CPU set as it found it."""
+
+    @pytest.fixture(autouse=True)
+    def cpus(self, monkeypatch):
+        """The usable CPUs, 0 and 1 unless a test changes the list; requests
+        to pin a process only record the CPU set.  A forked parent runs on
+        the first CPU and then restores its set."""
+        cpus, pins = [0, 1], []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus),
+                            raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity",
+                            lambda pid, mask: pins.append(sorted(mask)), raising=False)
+        yield cpus
+        assert pins in ([], [cpus[:1], cpus])
+        with pytest.raises(ChildProcessError):   # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def fork_slow_parent(monkeypatch, fail=None):
+        """Fork on any run, with each of the parent's pairs taking 0.1 s
+        more, so that the worker surely takes some; the pairs of ``fail``
+        ("parent" or "worker") raise.  Returns the pairs the parent took."""
+        parent, real = os.getpid(), simulator._pair_areas
+        taken = []
+
+        def pair_areas(config, keyed, m):
+            here = "parent" if os.getpid() == parent else "worker"
+            if here == fail:
+                raise LookupError(f"pair {m} failed in the {here}")
+            if here == "parent":
+                taken.append(m)
+                time.sleep(0.1)
+            return real(config, keyed, m)
+
+        monkeypatch.setattr(simulator, "_pair_areas", pair_areas)
+        monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", 0)
+        return taken
+
+    @pytest.mark.parametrize("gen", GEN_MODELS)
+    def test_reports_equal_serial(self, monkeypatch, gen):
+        configs = [cfg(scheme=scheme, gen_model=gen, snr_db=snr, frames=3001,
+                       warmup=17, seed=12)
+                   for scheme in SCHEMES for snr in (0.0, 10.0)]
+        monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", math.inf)
+        serial = run_many(configs)
+        taken = self.fork_slow_parent(monkeypatch)
+        assert run_many(configs) == serial
+        assert 0 < len(taken) < 4   # the worker integrated the other pairs
+
+    def test_more_workers_than_cores(self, monkeypatch, cpus):
+        # seven workers and the parent share one pipe of eight pairs; a pair
+        # lost or read misaligned would change a report or raise
+        cpus[:] = range(8)
+        configs = [cfg(scheme=scheme, gen_model="GAR", M=16, frames=3001,
+                       warmup=17, seed=12) for scheme in SCHEMES]
+        monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", math.inf)
+        serial = run_many(configs)
+        monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", 0)
+        assert run_many(configs) == serial
+
+    @pytest.mark.parametrize("where", ["worker", "parent"])
+    def test_exception_reaches_caller(self, monkeypatch, where):
+        self.fork_slow_parent(monkeypatch, fail=where)
+        with pytest.raises(LookupError, match=f"^pair [1-4] failed in the {where}$"):
+            run_many([cfg(frames=3001)])
+
+    @pytest.mark.parametrize("case", ["thread alive", "one CPU", "M=2"])
+    def test_stays_serial(self, monkeypatch, cpus, case):
+        monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", 0)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        if case == "one CPU":
+            cpus[:] = [0]
+        c = cfg(M=2 if case == "M=2" else 8, frames=3001)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        if case == "thread alive":
+            thread.start()
+        try:
+            run_many([c])
+        finally:
+            done.set()
+            if case == "thread alive":
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
 @st.composite
 def shared_draws(draw):
     """(chunk size, configs): one to three configs sharing M, model, horizon
@@ -365,7 +459,8 @@ def reference_deliveries(c):
         log[user][0].append((f * M + slot) * T)
         log[user][1].append((slot if gar else 1) * T)
 
-    for m, _resets, start, _n, _batch, gains, _prev in simulator._walk(c):
+    walk = ((m, *chunk) for m in range(1, h + 1) for chunk in simulator._walk(c, m))
+    for m, _resets, start, _n, _batch, gains, _prev in walk:
         mp = m + h
         if start == 0:
             retry = False   # U_m' has no retry pending before frame 0
