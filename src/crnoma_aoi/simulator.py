@@ -65,7 +65,7 @@ from .model import (SystemConfig, draw_gains, primary_success,
 
 N_BATCHES = 20
 CHUNK_FRAMES = 1 << 15
-# configs x frames x M/2 below which run_many integrates in one process
+# configs x frames x M/2 that each process of a run_many run must have
 FORK_CONFIG_PAIR_FRAMES = 400_000
 
 
@@ -221,24 +221,29 @@ def _drain(queue: int) -> None:
 
 
 def _integrate(config: SystemConfig, keyed: dict) -> dict:
-    """pair -> :func:`_pair_areas` for every pair of ``config``.  A run of
-    FORK_CONFIG_PAIR_FRAMES or more, counted over the configs of ``keyed``,
-    forks one worker per further usable CPU, up to one process per pair;
-    the parent and the workers take pair numbers from one pipe, and each
-    worker pickles its pairs' areas back through a pipe of its own.  A
-    worker's exception is raised here.  Each process is pinned to a CPU of
-    its own, and the parent's CPU set is restored before it returns: left
-    to itself, the scheduler kept parent and worker on one CPU in 2 of
-    15 runs.  The run stays in this process without
-    ``os.sched_getaffinity`` (not Linux), with one usable CPU or one pair,
-    or while another thread is alive, since forking a threaded process can
-    deadlock."""
+    """pair -> :func:`_pair_areas` for every pair of ``config``.  The run,
+    counted as configs of ``keyed`` x frames x M/2, is spread over as many
+    processes as it has FORK_CONFIG_PAIR_FRAMES of work for, at most one
+    per usable CPU and one per pair; the parent forks the others.  The
+    parent and the workers take pair numbers from one pipe, and each worker
+    pickles its pairs' areas back through a pipe of its own.  A worker's
+    exception is raised here.  The run stays in this process when that
+    comes to one process, without ``os.sched_getaffinity`` (not Linux), or
+    while another thread is alive, since forking a threaded process can
+    deadlock.
+
+    A run that takes every usable CPU pins one process to each, and the
+    parent's CPU set is restored before it returns: left to itself, the
+    scheduler of a 2-vCPU host kept parent and worker on one CPU in most
+    ``fig4b`` runs.  Concurrent such runs then share every CPU alike.  A
+    run with fewer processes than CPUs is not pinned, so that concurrent
+    runs do not pile onto the same CPUs."""
     h = config.M // 2
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    workers = min(len(cpus), h)
-    if (workers < 2 or threading.active_count() > 1
-            or len(keyed) * config.frames * h < FORK_CONFIG_PAIR_FRAMES):
+    workers = min(len(cpus), h, len(keyed) * config.frames * h // FORK_CONFIG_PAIR_FRAMES)
+    if workers < 2 or threading.active_count() > 1:
         return {m: _pair_areas(config, keyed, m) for m in range(1, h + 1)}
+    pinned = workers == len(cpus)
     queue_r, queue_w = os.pipe()
     replies: dict = {}   # worker pid -> read end of its reply pipe, as a file
     try:
@@ -248,7 +253,8 @@ def _integrate(config: SystemConfig, keyed: dict) -> dict:
                 pid = os.fork()
                 if pid == 0:
                     inherited = [queue_w, reply_r, *(r.fileno() for r in replies.values())]
-                    _worker(config, keyed, cpu, queue_r, inherited, reply_w)
+                    _worker(config, keyed, {cpu} if pinned else None, queue_r,
+                            inherited, reply_w)
                 os.close(reply_w)
                 replies[pid] = open(reply_r, "rb")
             # written once the workers run, since they read while the pipe
@@ -259,7 +265,8 @@ def _integrate(config: SystemConfig, keyed: dict) -> dict:
                 os.write(queue_w, queue[at:at + 512])
         finally:
             os.close(queue_w)
-        os.sched_setaffinity(0, cpus[:1])
+        if pinned:
+            _pin(cpus[:1])
         areas = _take_pairs(config, keyed, queue_r)
         for pid, reply in replies.items():
             data = reply.read()
@@ -276,22 +283,33 @@ def _integrate(config: SystemConfig, keyed: dict) -> dict:
         for pid, reply in replies.items():
             reply.close()
             os.waitpid(pid, 0)
+        if pinned:
+            _pin(cpus)
+
+
+def _pin(cpus) -> None:
+    """Restrict this process to the CPU set ``cpus``.  Where the OS refuses,
+    the process stays where it may run: pinning affects speed only."""
+    try:
         os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
 
 
-def _worker(config: SystemConfig, keyed: dict, cpu: int, queue: int,
+def _worker(config: SystemConfig, keyed: dict, cpus: set | None, queue: int,
             inherited: list[int], reply_w: int) -> None:
     """A forked worker's whole life: close the ``inherited`` descriptors it
-    has no use for, move to ``cpu``, take pairs from ``queue`` and pickle
-    ``(True, areas)``, or ``(False, exception)`` after emptying the queue,
-    to ``reply_w``; then end the process without running any of the
+    has no use for, move to ``cpus`` if given, take pairs from ``queue`` and
+    pickle ``(True, areas)``, or ``(False, exception)`` after emptying the
+    queue, to ``reply_w``; then end the process without running any of the
     parent's clean-up."""
     status = 1
     try:
         for fd in inherited:
             os.close(fd)
+        if cpus is not None:
+            _pin(cpus)
         try:
-            os.sched_setaffinity(0, {cpu})
             reply = (True, _take_pairs(config, keyed, queue))
         except BaseException as exc:
             _drain(queue)

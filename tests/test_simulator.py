@@ -288,15 +288,16 @@ class TestForkedPairs:
     @pytest.fixture(autouse=True)
     def cpus(self, monkeypatch):
         """The usable CPUs, 0 and 1 unless a test changes the list; requests
-        to pin a process only record the CPU set.  A forked parent runs on
-        the first CPU and then restores its set."""
-        cpus, pins = [0, 1], []
+        to pin a process only record the CPU set in ``self.pins``.  A
+        parent that pins itself to its first CPU then restores its set."""
+        cpus, self.pins = [0, 1], []
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus),
                             raising=False)
         monkeypatch.setattr(os, "sched_setaffinity",
-                            lambda pid, mask: pins.append(sorted(mask)), raising=False)
+                            lambda pid, mask: self.pins.append(sorted(mask)),
+                            raising=False)
         yield cpus
-        assert pins in ([], [cpus[:1], cpus])
+        assert self.pins in ([], [cpus[:1], cpus])
         with pytest.raises(ChildProcessError):   # every worker was reaped
             os.waitpid(-1, os.WNOHANG)
 
@@ -318,7 +319,7 @@ class TestForkedPairs:
             return real(config, keyed, m)
 
         monkeypatch.setattr(simulator, "_pair_areas", pair_areas)
-        monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", 0)
+        monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", 1)
         return taken
 
     @pytest.mark.parametrize("gen", GEN_MODELS)
@@ -340,8 +341,40 @@ class TestForkedPairs:
                        warmup=17, seed=12) for scheme in SCHEMES]
         monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", math.inf)
         serial = run_many(configs)
-        monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", 0)
+        monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", 1)
         assert run_many(configs) == serial
+
+    @pytest.mark.parametrize("shares", [2, 3, 7, 8])
+    def test_processes_bounded_by_work(self, monkeypatch, cpus, shares):
+        # each process gets at least FORK_CONFIG_PAIR_FRAMES of the run's
+        # 2 configs x 3001 frames x 8 pairs, however many CPUs there are;
+        # only a run on all eight CPUs pins its processes
+        cpus[:] = range(8)
+        real_fork, forks = os.fork, []
+
+        def fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES",
+                            2 * 3001 * 8 // shares)
+        run_many([cfg(scheme=scheme, M=16, frames=3001) for scheme in SCHEMES])
+        assert len(forks) == shares - 1
+        assert bool(self.pins) == (shares == 8)
+
+    def test_pinning_refused(self, monkeypatch):
+        # a CPU set the OS will not take leaves each process where it is
+        def refuse(pid, mask):
+            raise PermissionError("not allowed")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        configs = [cfg(frames=3001)]
+        monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", math.inf)
+        serial = run_many(configs)
+        taken = self.fork_slow_parent(monkeypatch)
+        assert run_many(configs) == serial
+        assert 0 < len(taken) < 4
 
     @pytest.mark.parametrize("where", ["worker", "parent"])
     def test_exception_reaches_caller(self, monkeypatch, where):
@@ -349,9 +382,12 @@ class TestForkedPairs:
         with pytest.raises(LookupError, match=f"^pair [1-4] failed in the {where}$"):
             run_many([cfg(frames=3001)])
 
-    @pytest.mark.parametrize("case", ["thread alive", "one CPU", "M=2"])
+    @pytest.mark.parametrize("case", ["thread alive", "one CPU", "M=2",
+                                      "one process's work"])
     def test_stays_serial(self, monkeypatch, cpus, case):
-        monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", 0)
+        # cfg(frames=3001)'s 3001 x 4 pair-frames are not two processes' work
+        monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES",
+                            3001 * 4 // 2 + 1 if case == "one process's work" else 1)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
         if case == "one CPU":
             cpus[:] = [0]
