@@ -43,9 +43,9 @@ draws each chunk's gains and states the pair's reset ages.
 each chunk's gains among configs with the same M, model, horizon and seed,
 and classifies them per (scheme, R, P, P_S); T only scales the integer areas.
 :func:`_pair_areas` integrates one pair, and :func:`_integrate` runs it over
-the pairs, in forked worker processes when the run is long enough to pay
-for them.  The areas of a pair are the same Python ints in any process, so
-a report is bit-identical however its pairs were spread.
+the pairs, in forked worker processes when the run has work and pairs
+enough to pay for them.  The areas of a pair are the same Python ints in
+any process, so a report is bit-identical however its pairs were spread.
 :func:`deliveries` returns the same deliveries as arrays, per user, for
 :func:`crnoma_aoi.oracle.renewal_aoi` to integrate independently: integer
 slot ends, multiplied by T once, of only the chunks that deliver.
@@ -65,8 +65,10 @@ from .model import (SystemConfig, draw_gains, primary_success,
 
 N_BATCHES = 20
 CHUNK_FRAMES = 1 << 15
-# configs x frames x M/2 that each process of a run_many run must have
+# configs x frames x M/2, and pairs, that each process of a run_many run
+# must have; with fewer pairs a CPU that slows one process holds up the run
 FORK_CONFIG_PAIR_FRAMES = 400_000
+FORK_PAIRS = 4
 
 
 @dataclass(frozen=True)
@@ -223,8 +225,8 @@ def _drain(queue: int) -> None:
 def _integrate(config: SystemConfig, keyed: dict) -> dict:
     """pair -> :func:`_pair_areas` for every pair of ``config``.  The run,
     counted as configs of ``keyed`` x frames x M/2, is spread over as many
-    processes as it has FORK_CONFIG_PAIR_FRAMES of work for, at most one
-    per usable CPU and one per pair; the parent forks the others.  The
+    processes as it has FORK_CONFIG_PAIR_FRAMES of work and FORK_PAIRS
+    pairs for, at most one per usable CPU; the parent forks the others.  The
     parent and the workers take pair numbers from one pipe, and each worker
     pickles its pairs' areas back through a pipe of its own.  A worker's
     exception is raised here.  The run stays in this process when that
@@ -235,12 +237,13 @@ def _integrate(config: SystemConfig, keyed: dict) -> dict:
     A run that takes every usable CPU pins one process to each, and the
     parent's CPU set is restored before it returns: left to itself, the
     scheduler of a 2-vCPU host kept parent and worker on one CPU in most
-    ``fig4b`` runs.  Concurrent such runs then share every CPU alike.  A
+    runs measured.  Concurrent such runs then share every CPU alike.  A
     run with fewer processes than CPUs is not pinned, so that concurrent
     runs do not pile onto the same CPUs."""
     h = config.M // 2
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    workers = min(len(cpus), h, len(keyed) * config.frames * h // FORK_CONFIG_PAIR_FRAMES)
+    workers = min(len(cpus), h // FORK_PAIRS,
+                  len(keyed) * config.frames * h // FORK_CONFIG_PAIR_FRAMES)
     if workers < 2 or threading.active_count() > 1:
         return {m: _pair_areas(config, keyed, m) for m in range(1, h + 1)}
     pinned = workers == len(cpus)

@@ -303,9 +303,10 @@ class TestForkedPairs:
 
     @staticmethod
     def fork_slow_parent(monkeypatch, fail=None):
-        """Fork on any run, with each of the parent's pairs taking 0.1 s
-        more, so that the worker surely takes some; the pairs of ``fail``
-        ("parent" or "worker") raise.  Returns the pairs the parent took."""
+        """Fork on any run of two or more pairs, with each of the parent's
+        pairs taking 0.1 s more, so that the worker surely takes some; the
+        pairs of ``fail`` ("parent" or "worker") raise.  Returns the pairs
+        the parent took."""
         parent, real = os.getpid(), simulator._pair_areas
         taken = []
 
@@ -320,6 +321,7 @@ class TestForkedPairs:
 
         monkeypatch.setattr(simulator, "_pair_areas", pair_areas)
         monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", 1)
+        monkeypatch.setattr(simulator, "FORK_PAIRS", 1)
         return taken
 
     @pytest.mark.parametrize("gen", GEN_MODELS)
@@ -342,13 +344,17 @@ class TestForkedPairs:
         monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", math.inf)
         serial = run_many(configs)
         monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", 1)
+        monkeypatch.setattr(simulator, "FORK_PAIRS", 1)
         assert run_many(configs) == serial
 
-    @pytest.mark.parametrize("shares", [2, 3, 7, 8])
-    def test_processes_bounded_by_work(self, monkeypatch, cpus, shares):
-        # each process gets at least FORK_CONFIG_PAIR_FRAMES of the run's
-        # 2 configs x 3001 frames x 8 pairs, however many CPUs there are;
-        # only a run on all eight CPUs pins its processes
+    @pytest.mark.parametrize("pairs, work, shares", [
+        (1, 2, 2), (1, 3, 3), (1, 7, 7), (1, 8, 8), (2, 8, 4), (3, 8, 2),
+        (4, 8, 2), (4, 3, 2)])
+    def test_processes_bounded(self, monkeypatch, cpus, pairs, work, shares):
+        # each process gets at least FORK_PAIRS = ``pairs`` of the run's 8
+        # pairs and FORK_CONFIG_PAIR_FRAMES, 1/``work`` of its 2 configs x
+        # 3001 frames x 8 pairs, however many CPUs there are; only a run on
+        # all eight CPUs pins its processes
         cpus[:] = range(8)
         real_fork, forks = os.fork, []
 
@@ -357,8 +363,9 @@ class TestForkedPairs:
             return real_fork()
 
         monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(simulator, "FORK_PAIRS", pairs)
         monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES",
-                            2 * 3001 * 8 // shares)
+                            2 * 3001 * 8 // work)
         run_many([cfg(scheme=scheme, M=16, frames=3001) for scheme in SCHEMES])
         assert len(forks) == shares - 1
         assert bool(self.pins) == (shares == 8)
@@ -383,11 +390,14 @@ class TestForkedPairs:
             run_many([cfg(frames=3001)])
 
     @pytest.mark.parametrize("case", ["thread alive", "one CPU", "M=2",
-                                      "one process's work"])
+                                      "one process's work", "one process's pairs"])
     def test_stays_serial(self, monkeypatch, cpus, case):
-        # cfg(frames=3001)'s 3001 x 4 pair-frames are not two processes' work
+        # cfg(frames=3001)'s 3001 x 4 pair-frames are not two processes' work,
+        # and its 4 pairs not two processes' FORK_PAIRS = 4
         monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES",
                             3001 * 4 // 2 + 1 if case == "one process's work" else 1)
+        if case != "one process's pairs":
+            monkeypatch.setattr(simulator, "FORK_PAIRS", 1)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
         if case == "one CPU":
             cpus[:] = [0]
