@@ -18,10 +18,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .experiments import (OUTPUTS, PRESETS, ExperimentSpec, check_users,
-                          run_experiment)
-from .model import (GEN_MODELS, check_M, check_scheme, check_seed, check_T,
-                    db_to_linear, epsilon_of)
+from .experiments import (OUTPUTS, PRESETS, ExperimentSpec, check_distinct,
+                          check_users, run_experiment)
+from .model import (GEN_MODELS, check_frames, check_M, check_scheme, check_seed,
+                    check_T, db_to_linear, epsilon_of)
 from .validation import LEVELS, partition_table, print_report, run_validation
 
 
@@ -36,9 +36,10 @@ def _checked(cast):
 
 
 def _list_of(cast):
-    """Comma-separated tokens, each stripped and cast by ``_checked(cast)``."""
-    return _checked(lambda text: tuple(
-        cast(tok) for tok in map(str.strip, text.split(",")) if tok))
+    """Comma-separated tokens, each stripped and cast by ``_checked(cast)``,
+    no two of them equal."""
+    return _checked(lambda text: check_distinct(tuple(
+        cast(tok) for tok in map(str.strip, text.split(",")) if tok)))
 
 
 # Each sweep-spec key once: its ``run`` flag and ``add_argument`` keywords.  A
@@ -56,8 +57,7 @@ _SPEC_KEYS = {
     "snr_db_values": ("--snr-db", {"type": _list_of(float), "metavar": "0,5,10"}),
     "users": ("--users", {"type": _list_of(int), "metavar": "1,5"}),
     "outputs": (None, {"choices": OUTPUTS}),
-    "frames": ("--frames", {"type": int}),
-    "warmup": ("--warmup", {"type": int}),
+    "frames": ("--frames", {"type": _checked(lambda tok: check_frames(int(tok)))}),
     "seed": ("--seed", {"type": _checked(lambda tok: check_seed(int(tok)))}),
 }
 

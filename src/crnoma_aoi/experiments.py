@@ -44,23 +44,24 @@ class ExperimentSpec:
     users: tuple[int, ...] | None = None   # GAR per-user rows; None = all users
     outputs: str = "both"                  # one of OUTPUTS
     frames: int = 200_000
-    warmup: int = 100
     seed: int = 1
 
     def validate(self) -> dict[tuple, SystemConfig]:
         """Reject a bad spec before any point is simulated, and return its
         grid in sorted order: ``(scheme, M, T, R, snr_db) -> SystemConfig``,
         each config at the spec's seed.  The configs hold the per-point rules
-        (even M, finite T, R and SNR, known scheme, frames > warmup, seed
-        >= 0).  Axes must be non-empty and, like ``users``, free of
+        (even M, finite T, R and SNR, known scheme, at least N_BATCHES frames,
+        seed >= 0).  Axes must be non-empty and, like ``users``, free of
         duplicates; a non-empty ``users`` applies to GAR only."""
         for name in ("schemes", "M_values", "T_values", "R_values",
                      "snr_db_values", "users"):
             values = getattr(self, name)
             if not values and name != "users":
                 raise ValueError(f"{name} must not be empty")
-            if values and len(set(values)) < len(values):
-                raise ValueError(f"{name} has duplicate values: {values}")
+            try:
+                check_distinct(values)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
         if self.outputs not in OUTPUTS:
             raise ValueError(f"outputs must be one of {OUTPUTS}, got {self.outputs!r}")
         configs = {}
@@ -70,11 +71,18 @@ class ExperimentSpec:
             P = db_to_linear(snr)
             configs[scheme, M, T, R, snr] = SystemConfig(
                 M=M, T=T, R=R, P=P, P_S=P, scheme=scheme, gen_model=self.gen_model,
-                frames=self.frames, warmup_frames=self.warmup, seed=self.seed)
+                frames=self.frames, seed=self.seed)
         if self.users and self.gen_model != "GAR":
             raise ValueError("users apply to GAR only")
         check_users(self.users, self.M_values)
         return configs
+
+
+def check_distinct(values: tuple | None) -> tuple | None:
+    """values itself, if no two of them are equal."""
+    if values and len(set(values)) < len(values):
+        raise ValueError(f"duplicate values in {values}")
+    return values
 
 
 def check_users(users: tuple[int, ...] | None, M_values: tuple[int, ...]) -> None:

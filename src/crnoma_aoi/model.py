@@ -14,6 +14,7 @@ import numpy as np
 
 SCHEMES = ("TDMA", "CR-NOMA")
 GEN_MODELS = ("GAW", "GAR")
+N_BATCHES = 20   # batch means per simulated time average, each of whole frames
 
 
 @dataclass(frozen=True)
@@ -27,8 +28,7 @@ class SystemConfig:
     P_S      -- secondary transmit SNR (linear)
     scheme   -- "TDMA" or "CR-NOMA"
     gen_model -- "GAW" (generate-at-will) or "GAR" (generate-at-request)
-    frames   -- simulation horizon in frames
-    warmup_frames -- frames discarded before AoI accumulation
+    frames   -- simulation horizon in frames, averaged from t = 0
     seed     -- non-negative RNG seed
     """
 
@@ -40,7 +40,6 @@ class SystemConfig:
     scheme: str = "TDMA"
     gen_model: str = "GAW"
     frames: int = 200_000
-    warmup_frames: int = 100
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -55,9 +54,7 @@ class SystemConfig:
         check_scheme(self.scheme)
         if self.gen_model not in GEN_MODELS:
             raise ValueError(f"gen_model must be one of {GEN_MODELS}, got {self.gen_model!r}")
-        if self.warmup_frames < 0 or self.frames <= self.warmup_frames:
-            raise ValueError("need frames > warmup_frames >= 0, got "
-                             f"frames={self.frames}, warmup_frames={self.warmup_frames}")
+        check_frames(self.frames)
         check_seed(self.seed)
 
     @property
@@ -84,6 +81,13 @@ def check_T(T: float) -> float:
     if T <= 0:
         raise ValueError(f"T must be > 0, got {T}")
     return T
+
+
+def check_frames(frames: int) -> int:
+    """frames itself, if it is a valid horizon: at least one frame per batch."""
+    if frames < N_BATCHES:
+        raise ValueError(f"need at least {N_BATCHES} frames, got {frames}")
+    return frames
 
 
 def check_seed(seed: int) -> int:

@@ -114,33 +114,31 @@ def estimate_gar_partitions(eps: float, P: float, P_S: float, trials: int,
 
 
 def renewal_aoi(events_by_user: dict[int, tuple[np.ndarray, np.ndarray]],
-                t_end: float, t_start: float = 0.0) -> dict[int, float]:
-    """Recompute per-user average AoI from renewal intervals alone.
+                t_end: float) -> dict[int, float]:
+    """Recompute per-user average AoI over [0, t_end] from renewal intervals
+    alone.
 
     For each interval y_j between consecutive deliveries the age ramps from
-    the reset value a_j, contributing Q_j = a_j y_j + y_j^2/2; boundary
-    intervals are clipped to [t_start, t_end], and each user needs a record at
-    or before t_start, since its age before its first record is undefined.
-    Plain Python accumulation, deliberately separate from the simulator's kernel.
+    the reset value a_j, contributing Q_j = a_j y_j + y_j^2/2; intervals are
+    clipped to t_end.  Each user's first record must be at t = 0, since its
+    age before its first record is undefined.  Plain Python accumulation,
+    deliberately separate from the simulator's kernel.
     """
-    if not (math.isfinite(t_start) and math.isfinite(t_end)):
-        raise ValueError(f"non-finite accumulation window [{t_start}, {t_end}]")
-    if t_end <= t_start:
+    if not math.isfinite(t_end):
+        raise ValueError(f"non-finite accumulation window [0, {t_end}]")
+    if t_end <= 0:
         raise ValueError("zero-length accumulation window")
     out = {}
     for user, (times, ages) in events_by_user.items():
-        if len(times) == 0 or times[0] > t_start:
-            raise ValueError(f"user {user} has no record at or before t_start={t_start}")
+        if len(times) == 0 or times[0] != 0:
+            raise ValueError(f"user {user} has no record at t=0")
         times = times.tolist()
         total = 0.0
         for t_a, t_b, age in zip(times, times[1:] + [t_end], ages.tolist(), strict=True):
-            lo = max(t_a, t_start)
-            hi = min(t_b, t_end)
-            if hi > lo:
-                a = age + (lo - t_a)
-                y = hi - lo
-                total += a * y + 0.5 * y * y
-        out[user] = total / (t_end - t_start)
+            y = min(t_b, t_end) - t_a
+            if y > 0:
+                total += age * y + 0.5 * y * y
+        out[user] = total / t_end
     return out
 
 

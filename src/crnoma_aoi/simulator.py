@@ -5,8 +5,8 @@ Per frame and per user pair, four independent Exp(1) channel gains are drawn
 keeps the random stream aligned across schemes).  Every delivery takes effect
 at the end of its slot; the instantaneous age then resets to T (GAW) or to
 m*T / m'*T (GAR), and the age grows linearly in between.  Time averages are
-the exact integrals of this piecewise-linear process over the post-warm-up
-window; no per-slot sampling is involved.
+the exact integrals of this piecewise-linear process over the whole horizon
+[0, frames * M * T]; no per-slot sampling is involved.
 
 :func:`run_many` integrates frame by frame.  Counted in slots, the age at time
 t is t - o, where the origin o = t_last - reset_age moves only at deliveries.
@@ -33,7 +33,7 @@ Origins are int32 while every one fits, else int64 (:func:`_origin_dtype`).
 Each (pair, chunk) builds its candidate rows for slots m and m' once, as a
 (2, n) array that every (config, user) masks into one reused work array.  The
 frame-start origins sum to origin_in + sum(o_mp) - last, so a chunk's area
-takes one int64 sum of that array, and a warm-up chunk takes none.
+takes one int64 sum of that array.
 
 Pairs are the unit of work.  No state crosses pairs: each has its own
 generator, its own two users and its own origins.  One walk, :func:`_walk`,
@@ -60,10 +60,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (SystemConfig, draw_gains, primary_success,
+from .model import (N_BATCHES, SystemConfig, draw_gains, primary_success,
                     secondary_capped_success)
 
-N_BATCHES = 20
 CHUNK_FRAMES = 1 << 15
 # configs x frames x M/2, and pairs, that each process of a run_many run
 # must have; with fewer pairs a CPU that slows one process holds up the run
@@ -128,19 +127,16 @@ def _origin_dtype(frames: int, M: int):
 
 
 def _batch_edges(config: SystemConfig) -> list[int]:
-    """Frame indices splitting the post-warm-up window into N_BATCHES blocks
-    of whole frames."""
-    w, n = config.warmup_frames, config.frames - config.warmup_frames
-    return [w + k * n // N_BATCHES for k in range(N_BATCHES + 1)]
+    """Frame indices splitting the horizon into N_BATCHES blocks of whole
+    frames."""
+    return [k * config.frames // N_BATCHES for k in range(N_BATCHES + 1)]
 
 
 def _chunks(config: SystemConfig):
     """Yield (first frame, frame count, batch index) over the horizon, in
-    order; the warm-up has batch index -1 and no chunk straddles a batch
-    edge or exceeds CHUNK_FRAMES."""
-    edges = [0] + _batch_edges(config)
-    for batch in range(-1, N_BATCHES):
-        lo, hi = edges[batch + 1], edges[batch + 2]
+    order; no chunk straddles a batch edge or exceeds CHUNK_FRAMES."""
+    edges = _batch_edges(config)
+    for batch, (lo, hi) in enumerate(zip(edges, edges[1:])):
         for start in range(lo, hi, CHUNK_FRAMES):
             yield start, min(CHUNK_FRAMES, hi - start), batch
 
@@ -193,15 +189,14 @@ def _pair_areas(config: SystemConfig, keyed: dict, m: int) -> dict:
                 np.maximum.accumulate(o_mp, out=o_mp)
                 np.maximum(o_m[1:], o_mp[:-1], out=o_m[1:])
                 last = int(o_mp[-1])
-                if batch >= 0:
-                    # per frame, sum over its segments [a, b] of
-                    # (b - a)(a + b - 2 o) = M^2 + 2 (m d0 + h d1 + (h - m) d2)
-                    # with d = frame start - origin of the segment; the
-                    # frame-start origins sum to origin[u] + sum(o_mp) - last,
-                    # so the d1 and d2 terms take one sum over both rows
-                    areas[key][u][batch] += n * M * M + 2 * (
-                        M * sum_base - m * (origin[u] - last)
-                        - h * int(work.sum(dtype=np.int64)))
+                # per frame, sum over its segments [a, b] of
+                # (b - a)(a + b - 2 o) = M^2 + 2 (m d0 + h d1 + (h - m) d2)
+                # with d = frame start - origin of the segment; the
+                # frame-start origins sum to origin[u] + sum(o_mp) - last,
+                # so the d1 and d2 terms take one sum over both rows
+                areas[key][u][batch] += n * M * M + 2 * (
+                    M * sum_base - m * (origin[u] - last)
+                    - h * int(work.sum(dtype=np.int64)))
                 origin[u] = last
     return areas
 
@@ -325,24 +320,19 @@ def _worker(config: SystemConfig, keyed: dict, cpus: set | None, queue: int,
 
 
 def run_many(configs: list[SystemConfig]) -> list[AoiReport]:
-    """Simulate configs that share (M, gen_model, frames, warmup_frames, seed)
-    on common gain draws; return one report per config, in order: the exact
-    time-average AoI per user over the post-warm-up window, with half-widths
+    """Simulate configs that share (M, gen_model, frames, seed) on common
+    gain draws; return one report per config, in order: the exact
+    time-average AoI per user over the whole horizon, with half-widths
     of 3 standard errors over N_BATCHES = 20 batch means (about 99.3 % under
     t_19); each batch is a block of whole frames.  A config's report does not
     depend on the others in the list, and is deterministic given (config,
     seed), whichever process integrates each pair.  Each distinct (scheme,
     R, P, P_S) is integrated once, with its own origins; T is applied only
     at the end."""
-    if len({(c.M, c.gen_model, c.frames, c.warmup_frames, c.seed)
-            for c in configs}) != 1:
+    if len({(c.M, c.gen_model, c.frames, c.seed) for c in configs}) != 1:
         raise ValueError("run_many needs one or more configs sharing M, "
-                         "gen_model, frames, warmup_frames and seed")
+                         "gen_model, frames and seed")
     first = configs[0]
-    n_used = first.frames - first.warmup_frames
-    if n_used < N_BATCHES:
-        raise ValueError(f"need at least {N_BATCHES} frames after warm-up, "
-                         f"got {n_used}")
     keyed = {(c.scheme, c.R, c.P, c.P_S): c for c in configs}
     pairs = _integrate(first, keyed)
     # users 1..M/2 are the pairs' U_m, users M/2+1..M their U_m'
@@ -353,10 +343,10 @@ def run_many(configs: list[SystemConfig]) -> list[AoiReport]:
 
 def _report(config: SystemConfig, areas: list[list[int]]) -> AoiReport:
     """Scale twice the per-user, per-batch areas (slot^2) by T into AoI."""
-    M, T, n_used = config.M, config.T, config.frames - config.warmup_frames
+    M, T = config.M, config.T
     sizes = np.diff(_batch_edges(config))
     batch_aoi = np.array(areas, dtype=np.float64) * T / (2 * M * sizes)
-    per_user = [sum(a) * T / (2 * M * n_used) for a in areas]
+    per_user = [sum(a) * T / (2 * M * config.frames) for a in areas]
     se = np.std(batch_aoi, axis=1, ddof=1) / np.sqrt(N_BATCHES)
     overall_se = float(np.std(batch_aoi.mean(axis=0), ddof=1) / np.sqrt(N_BATCHES))
     return AoiReport(

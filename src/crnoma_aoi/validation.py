@@ -54,7 +54,7 @@ def _sim(lv: dict, scheme: str, gen_model: str, T: float, P: float,
     """One M=8, R=1, P_S=P simulation at the level's horizon."""
     return run_many([SystemConfig(M=8, T=T, R=1.0, P=P, P_S=P, scheme=scheme,
                                   gen_model=gen_model, frames=lv["frames"],
-                                  warmup_frames=100, seed=seed)])[0]
+                                  seed=seed)])[0]
 
 
 def partition_table(eps: float, P: float, P_S: float, trials: int,
@@ -186,10 +186,8 @@ def run_validation(level: str = "fast", seed: int = 7) -> list[CheckResult]:
         for gen_model in GEN_MODELS:
             cfg = SystemConfig(M=4, T=0.5, R=1.0, P=1.0, P_S=1.0, scheme=scheme,
                                gen_model=gen_model, frames=max(lv["frames"] // 10, 2000),
-                               warmup_frames=50, seed=seed + 20)
-            t0 = cfg.warmup_frames * cfg.frame_duration
-            t1 = cfg.frames * cfg.frame_duration
-            recomputed = oracle.renewal_aoi(deliveries(cfg), t1, t0)
+                               seed=seed + 20)
+            recomputed = oracle.renewal_aoi(deliveries(cfg), cfg.frames * cfg.frame_duration)
             [report] = run_many([cfg])
             for k in range(cfg.M):
                 d = abs(recomputed[k + 1] - report.per_user_aoi[k])
@@ -221,8 +219,7 @@ def run_validation(level: str = "fast", seed: int = 7) -> list[CheckResult]:
     # -- CSV determinism --------------------------------------------------
     spec = ExperimentSpec(preset="custom", schemes=SCHEMES, gen_model="GAR",
                           M_values=(4,), T_values=(0.5,), R_values=(1.0,),
-                          snr_db_values=(0.0, 10.0, 20.0), frames=5000, warmup=50,
-                          seed=seed)
+                          snr_db_values=(0.0, 10.0, 20.0), frames=5000, seed=seed)
     add("csv_determinism", run_experiment(spec) == run_experiment(spec),
         "same spec + seed -> byte-identical CSV, both schemes")
 

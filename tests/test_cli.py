@@ -53,7 +53,7 @@ class TestRunExperiment:
         base = dict(preset="custom", schemes=("TDMA", "CR-NOMA"),
                     gen_model="GAW", M_values=(4,), T_values=(1.0,),
                     R_values=(1.0,), snr_db_values=(0.0, 10.0),
-                    frames=2000, warmup=10, seed=3)
+                    frames=2000, seed=3)
         base.update(kw)
         return ExperimentSpec(**base)
 
@@ -89,7 +89,7 @@ class TestSharedDraws:
     def spec(self, **kw):
         base = dict(schemes=("TDMA", "CR-NOMA"), gen_model="GAR", M_values=(2, 4),
                     T_values=(0.5, 1.5), R_values=(1.0,), snr_db_values=(0.0, 10.0),
-                    users=(1, 2), frames=2000, warmup=10, seed=3)
+                    users=(1, 2), frames=2000, seed=3)
         base.update(kw)
         return ExperimentSpec(**base)
 
@@ -107,7 +107,7 @@ class TestSharedDraws:
             [report] = run_many([SystemConfig(
                 M=int(row["M"]), T=float(row["T"]), R=float(row["R"]), P=P, P_S=P,
                 scheme=row["scheme"], gen_model=gen_model, frames=spec.frames,
-                warmup_frames=spec.warmup, seed=int(row["seed"]))])
+                seed=int(row["seed"]))])
             if row["user_id"] == "overall":
                 sim, hw = report.overall_aoi, report.overall_halfwidth
             else:
@@ -140,9 +140,9 @@ class TestSharedDraws:
         spec = replace(PRESETS["fig4b"], frames=2000)
         lines = run_experiment(spec).strip().split("\n")
         assert len(lines) == 1 + 54
-        # M/2 = 4 pairs x 21 chunks (the warm-up, then 20 batches of 95
-        # frames), shared by all 54 grid points
-        assert len(calls) == 4 * 21
+        # M/2 = 4 pairs x 20 chunks (one per 100-frame batch), shared by
+        # all 54 grid points
+        assert len(calls) == 4 * 20
 
 
 class TestSweepGrid:
@@ -157,7 +157,7 @@ class TestSweepGrid:
         spec = ExperimentSpec(schemes=("TDMA", "CR-NOMA"), gen_model="GAR",
                               M_values=(4, 2), T_values=(1.5, 0.5), R_values=(1.0,),
                               snr_db_values=(10, 0), users=(1, 2), frames=200,
-                              warmup=10, seed=3)
+                              seed=3)
         configs = spec.validate()
         assert list(configs) == sorted(configs) and len(configs) == 16
         rows = TestSharedDraws.rows(run_experiment(spec))
@@ -183,7 +183,7 @@ class TestSpecValidation:
     @given(axis=st.sampled_from(["T_values", "R_values", "snr_db_values"]),
            bad=st.sampled_from([math.nan, math.inf, -math.inf]))
     def test_non_finite_axis_rejected_before_any_run(self, axis, bad):
-        spec = ExperimentSpec(**{axis: (1.0, bad)}, frames=2000, warmup=10)
+        spec = ExperimentSpec(**{axis: (1.0, bad)}, frames=2000)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(experiments, "run_many", pytest.fail)
             with pytest.raises(ValueError):
@@ -198,11 +198,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="M must be"):
             ExperimentSpec(M_values=(-2,)).validate()
 
-    @given(frames=st.integers(min_value=0, max_value=10 ** 6),
-           extra=st.integers(min_value=0, max_value=10 ** 6))
-    def test_frames_not_above_warmup_rejected(self, frames, extra):
-        with pytest.raises(ValueError):
-            ExperimentSpec(frames=frames, warmup=frames + extra).validate()
+    @given(frames=st.integers(min_value=-10 ** 6, max_value=19))
+    def test_too_few_frames_rejected(self, frames):
+        with pytest.raises(ValueError, match="at least 20 frames"):
+            ExperimentSpec(frames=frames).validate()
 
 
 class TestDegenerateSpecs:
@@ -239,7 +238,7 @@ class TestDegenerateSpecs:
         ["--seed", "-1"], ["--gen-model", "GAW", "--users", "1,2"], ["--sim-only"],
         ["--R", "2000", "--M", "4", "--T", "1", "--snr-db", "0"],
         ["--M", "4", "--T", "1", "--snr-db", "4000"],
-        ["--gen-model", "GAR", "--M", "2", "--users", "3"]])
+        ["--gen-model", "GAR", "--M", "2", "--users", "3"], ["--warmup", "5"]])
     def test_cli_exits_2(self, flags, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--analytic-only", *flags])
@@ -310,7 +309,7 @@ class TestCliMain:
         out = tmp_path / "sweep.csv"
         rc = main(["run", "--schemes", "TDMA", "--gen-model", "GAW",
                    "--M", "4", "--T", "1", "--R", "1", "--snr-db", "0",
-                   "--frames", "1000", "--warmup", "10", "--seed", "1",
+                   "--frames", "1000", "--seed", "1",
                    "--out", str(out)])
         assert rc == 0
         lines = out.read_text().strip().split("\n")
@@ -385,7 +384,9 @@ class TestCliMain:
                             ("T_values=0.5,abc", ":1: T_values: could not convert"),
                             ("preset=fig99", ":1: preset: unknown preset"),
                             ("gen_model=XYZ", ":1: gen_model: must be one of"),
-                            ("warmup=-5", "warmup_frames=-5"),
+                            ("warmup=100", ":1: warmup: unknown config key"),
+                            ("frames=10", ":1: frames: need at least 20 frames"),
+                            ("M_values=4,4", ":1: M_values: duplicate values"),
                             ("outputs=bogus", ":1: outputs: must be one of"),
                             ("schemes=TDMA,XYZ", ":1: schemes: scheme must be one of"),
                             ("M_values=4,3", ":1: M_values: M must be an even"),

@@ -108,7 +108,7 @@ class TestSystemConfig:
     @pytest.mark.parametrize("kw", [
         dict(M=7), dict(M=0), dict(T=0.0), dict(R=-1.0), dict(P=0.0),
         dict(P_S=-1.0), dict(scheme="FDMA"), dict(gen_model="GAX"),
-        dict(frames=100, warmup_frames=100), dict(warmup_frames=-1),
+        dict(frames=19), dict(frames=-1),
     ])
     def test_invalid(self, kw):
         base = dict(M=8, T=1.5, R=1.0, P=1.0, P_S=1.0)

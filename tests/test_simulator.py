@@ -19,22 +19,21 @@ from crnoma_aoi.simulator import deliveries, run_many
 
 
 def cfg(scheme="TDMA", gen_model="GAW", M=8, T=1.5, R=1.0, snr_db=0.0,
-        frames=20_000, warmup=100, seed=5):
+        frames=20_000, seed=5):
     P = db_to_linear(snr_db)
     return SystemConfig(M=M, T=T, R=R, P=P, P_S=P, scheme=scheme,
-                        gen_model=gen_model, frames=frames,
-                        warmup_frames=warmup, seed=seed)
+                        gen_model=gen_model, frames=frames, seed=seed)
 
 
 class TestWindowedAverage:
-    """Exact time averages of run_many over the post-warm-up window, on
-    processes with known integrals."""
+    """Exact time averages of run_many over the whole horizon, on processes
+    with known integrals."""
 
     NEVER = 200.0   # R so large (eps = 2^200 - 1) that nothing is delivered
 
     def test_ramp(self):
         # no delivery: the GAW age starts at T and ramps for the whole horizon
-        [r] = run_many([cfg(R=self.NEVER, M=4, T=1.5, frames=1000, warmup=0)])
+        [r] = run_many([cfg(R=self.NEVER, M=4, T=1.5, frames=1000)])
         for a in r.per_user_aoi:
             assert a == pytest.approx(1.5 + 1000 * 4 * 1.5 / 2, rel=1e-12)
 
@@ -43,7 +42,7 @@ class TestWindowedAverage:
         M, T, F = 6, 0.5, 997
         for scheme in ("TDMA", "CR-NOMA"):
             c = cfg(scheme=scheme, gen_model="GAR", R=self.NEVER, M=M, T=T,
-                    frames=F, warmup=0)
+                    frames=F)
             [r] = run_many([c])
             for k, a in enumerate(r.per_user_aoi, start=1):
                 assert a == pytest.approx(k * T + F * M * T / 2, rel=1e-12)
@@ -53,38 +52,25 @@ class TestWindowedAverage:
             for k, (times, ages) in events.items():
                 assert times.tolist() == [0.0] and ages.tolist() == [k * T]
 
-    def test_warmup_clipping(self):
-        # area before the warm-up boundary is discarded exactly
-        M, T, F, W = 4, 1.5, 1003, 37
-        for gen_model in ("GAW", "GAR"):
-            [r] = run_many([cfg(gen_model=gen_model, R=self.NEVER, M=M, T=T,
-                                frames=F, warmup=W)])
-            for k, a in enumerate(r.per_user_aoi, start=1):
-                start_age = T if gen_model == "GAW" else k * T
-                assert a == pytest.approx(start_age + (W + F) * M * T / 2,
-                                          rel=1e-12)
-
     def test_periodic_resets(self):
         # TDMA/GAW at R=0: user k resets to T at the end of slot k of every
         # frame; the first and last partial periods are integrated exactly
         M, T, F = 8, 1.5, 1001
-        [r] = run_many([cfg(R=0.0, M=M, T=T, frames=F, warmup=0)])
+        [r] = run_many([cfg(R=0.0, M=M, T=T, frames=F)])
         for k, a in enumerate(r.per_user_aoi, start=1):
             twice_area = ((k + 1) ** 2 - 1 + (F - 1) * ((M + 1) ** 2 - 1)
                           + (M - k + 1) ** 2 - 1)
             assert a == pytest.approx(twice_area * T / (2 * F * M), rel=1e-12)
 
     def test_empty_window(self):
-        # a zero-length averaging window (warm-up eats the whole horizon)
-        # has no time average
-        for frames in (0, 1, 100):
-            with pytest.raises(ValueError):
-                cfg(frames=frames, warmup=frames)
+        # a zero-length averaging window has no time average
+        with pytest.raises(ValueError):
+            cfg(frames=0)
 
     def test_empty_window_rejected(self):
-        # a non-empty window shorter than the batch count is rejected at run
-        with pytest.raises(ValueError):
-            run_many([cfg(frames=110, warmup=100)])   # fewer frames than batches
+        # a non-empty window shorter than the batch count is rejected
+        with pytest.raises(ValueError, match="at least 20 frames"):
+            cfg(frames=10)   # fewer frames than batches
 
 
 class TestKernel:
@@ -93,7 +79,7 @@ class TestKernel:
 
     @pytest.mark.parametrize("scheme,gen", PAIRS)
     def test_chunk_size_invariant(self, monkeypatch, scheme, gen):
-        c = cfg(scheme=scheme, gen_model=gen, M=4, frames=1000, warmup=13)
+        c = cfg(scheme=scheme, gen_model=gen, M=4, frames=1000)
         whole = run_many([c])
         monkeypatch.setattr(simulator, "CHUNK_FRAMES", 7)
         assert run_many([c]) == whole
@@ -106,7 +92,7 @@ class TestKernel:
 
     @pytest.mark.parametrize("scheme,gen", PAIRS)
     def test_wide_origins_invariant(self, monkeypatch, scheme, gen):
-        c = cfg(scheme=scheme, gen_model=gen, M=4, frames=1000, warmup=13)
+        c = cfg(scheme=scheme, gen_model=gen, M=4, frames=1000)
         narrow = run_many([c])
         monkeypatch.setattr(simulator, "_origin_dtype", lambda frames, M: np.int64)
         assert run_many([c]) == narrow
@@ -119,7 +105,7 @@ class TestKernel:
         monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", math.inf)
         tracemalloc.start()
         try:
-            run_many([cfg(M=8, frames=2_000_000, warmup=100)])
+            run_many([cfg(M=8, frames=2_000_000)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -147,10 +133,9 @@ class TestKernel:
 
     def test_event_log_draws_once_per_pair_and_block(self, monkeypatch):
         # one pass: each of the 2 pairs draws each of its chunks once for
-        # both users (the 20-frame warm-up in blocks of at most 7 frames, then
-        # one per batch), and the arrays match a call that draws the warm-up
-        # in one block
-        c = cfg(scheme="CR-NOMA", M=4, frames=50, warmup=20)
+        # both users (each 8- or 9-frame batch in a block of 7 frames and the
+        # rest), and the arrays match a call that draws each batch in one block
+        c = cfg(scheme="CR-NOMA", M=4, frames=170)
         whole = deliveries(c)
         calls = []
 
@@ -162,7 +147,7 @@ class TestKernel:
         monkeypatch.setattr(simulator, "CHUNK_FRAMES", 7)
         monkeypatch.setattr(simulator, "draw_gains", counting)
         chunked = deliveries(c)
-        assert len(calls) == c.M // 2 * len(list(simulator._chunks(c))) == 2 * 23
+        assert len(calls) == c.M // 2 * len(list(simulator._chunks(c))) == 2 * 40
         assert list(chunked) == list(whole)
         for user, (times, ages) in whole.items():
             assert np.array_equal(chunked[user][0], times)
@@ -192,12 +177,14 @@ class TestHandBuiltGains:
         # CR-NOMA/GAR, M=2, R=1 (eps=1), P = P_S = 1, T=0.5; the columns are
         # U_m and U_m' in slot m, then U_m and U_m' in slot m'.  Frame 0: U_m'
         # delivers in slot m, so U_m retries alone in slot m' and succeeds.
-        # Frame 1: U_m' retries in slot m', so U_m is capped and fails.
-        rows = iter([[0.5, 2.0, 1.2, 2.0], [0.5, 0.1, 1.2, 2.0]])
+        # Frame 1: U_m' retries in slot m', so U_m is capped and fails.  No
+        # attempt succeeds at zero gain, in the 18 frames left of the shortest
+        # horizon, one frame a batch.
+        rows = iter([[0.5, 2.0, 1.2, 2.0], [0.5, 0.1, 1.2, 2.0]] + [[0.0] * 4] * 18)
         monkeypatch.setattr(simulator, "draw_gains", lambda rng, size: np.array(
             [next(rows) for _ in range(size[0])]))
         c = SystemConfig(M=2, T=0.5, R=1.0, P=1.0, P_S=1.0, scheme="CR-NOMA",
-                         gen_model="GAR", frames=2, warmup_frames=0, seed=0)
+                         gen_model="GAR", frames=20, seed=0)
         events = deliveries(c)
         assert list(events) == [1, 2]
         assert events[1][0].tolist() == [0.0, 1.0]
@@ -208,13 +195,13 @@ class TestHandBuiltGains:
 
 class TestMetamorphic:
     """Relations that hold exactly on common draws (M=6, T=0.7, 5003 frames,
-    warm-up 17, seed 11)."""
+    seed 11)."""
 
     @staticmethod
     def run_at(scheme, gen_model, T=0.7, R=1.0, P=1.0, P_S=1.0):
         return run_many([SystemConfig(M=6, T=T, R=R, P=P, P_S=P_S, scheme=scheme,
                                       gen_model=gen_model, frames=5003,
-                                      warmup_frames=17, seed=11)])[0]
+                                      seed=11)])[0]
 
     @pytest.mark.parametrize("gen", GEN_MODELS)
     def test_tdma_ignores_secondary_power(self, gen):
@@ -254,13 +241,12 @@ class TestRunMany:
         points = [(0.5, 1.0, 0.0), (1.5, 1.0, 0.0), (1.0, 0.5, 10.0),
                   (0.5, 1.5, 5.0), (0.5, 1.0, 0.0)]
         configs = [cfg(scheme=scheme, gen_model=gen, M=6, T=T, R=R, snr_db=snr,
-                       frames=3001, warmup=17, seed=12)
+                       frames=3001, seed=12)
                    for scheme in ("TDMA", "CR-NOMA") for T, R, snr in points]
         assert run_many(configs) == [r for c in configs for r in run_many([c])]
 
     @pytest.mark.parametrize("field,value", [
-        ("M", 4), ("gen_model", "GAR"), ("frames", 2001),
-        ("warmup_frames", 11), ("seed", 6)])
+        ("M", 4), ("gen_model", "GAR"), ("frames", 2001), ("seed", 6)])
     def test_rejects_unshared_configs(self, field, value):
         c = cfg(frames=2000)
         with pytest.raises(ValueError, match="sharing"):
@@ -327,7 +313,7 @@ class TestForkedPairs:
     @pytest.mark.parametrize("gen", GEN_MODELS)
     def test_reports_equal_serial(self, monkeypatch, gen):
         configs = [cfg(scheme=scheme, gen_model=gen, snr_db=snr, frames=3001,
-                       warmup=17, seed=12)
+                       seed=12)
                    for scheme in SCHEMES for snr in (0.0, 10.0)]
         monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", math.inf)
         serial = run_many(configs)
@@ -340,7 +326,7 @@ class TestForkedPairs:
         # lost or read misaligned would change a report or raise
         cpus[:] = range(8)
         configs = [cfg(scheme=scheme, gen_model="GAR", M=16, frames=3001,
-                       warmup=17, seed=12) for scheme in SCHEMES]
+                       seed=12) for scheme in SCHEMES]
         monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", math.inf)
         serial = run_many(configs)
         monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", 1)
@@ -419,12 +405,10 @@ class TestForkedPairs:
 def shared_draws(draw):
     """(chunk size, configs): one to three configs sharing M, model, horizon
     and seed, each with its own scheme, T, R and P != P_S; the horizon is not
-    a multiple of 20 frames and neither is its post-warm-up window."""
+    a multiple of 20 frames."""
     M = draw(st.sampled_from(range(2, 13, 2)))
     gen_model = draw(st.sampled_from(GEN_MODELS))
-    warmup = draw(st.integers(0, 30))
-    used = draw(st.integers(21, 160).filter(lambda n: n % 20))
-    assume((warmup + used) % 20)
+    frames = draw(st.integers(21, 190).filter(lambda n: n % 20))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     snr_db = st.floats(-10.0, 30.0)
     configs = []
@@ -434,8 +418,7 @@ def shared_draws(draw):
         configs.append(SystemConfig(
             M=M, T=draw(st.floats(0.1, 5.0)), R=draw(st.floats(0.0, 3.0)),
             P=P, P_S=P_S, scheme=draw(st.sampled_from(SCHEMES)),
-            gen_model=gen_model, frames=warmup + used, warmup_frames=warmup,
-            seed=seed))
+            gen_model=gen_model, frames=frames, seed=seed))
     return draw(st.integers(2, 40)), configs
 
 
@@ -451,8 +434,7 @@ class TestDifferential:
         with mock.patch.object(simulator, "CHUNK_FRAMES", chunk):
             for c in configs:
                 expect = oracle.renewal_aoi(deliveries(c),
-                                            c.frames * c.frame_duration,
-                                            c.warmup_frames * c.frame_duration)
+                                            c.frames * c.frame_duration)
                 [r] = run_many([c])
                 for k in range(c.M):
                     assert (abs(r.per_user_aoi[k] - expect[k + 1])
@@ -473,13 +455,11 @@ def protocol_configs(draw):
     """One config of each scheme and model on common draws, at rates and
     powers where primary and secondary attempts often succeed and often
     fail; P != P_S is allowed."""
-    warmup = draw(st.integers(0, 30))
     snr_db = st.floats(-5.0, 15.0)
     P, P_S = db_to_linear(draw(snr_db)), db_to_linear(draw(snr_db))
     shared = dict(M=draw(st.sampled_from((2, 4, 6, 8))), T=draw(st.floats(0.1, 5.0)),
                   R=draw(st.floats(0.25, 2.0)), P=P, P_S=P_S,
-                  frames=warmup + draw(st.integers(20, 200)), warmup_frames=warmup,
-                  seed=draw(st.integers(0, 2 ** 32 - 1)))
+                  frames=draw(st.integers(20, 230)), seed=draw(st.integers(0, 2 ** 32 - 1)))
     return [SystemConfig(scheme=scheme, gen_model=gen, **shared)
             for scheme in SCHEMES for gen in GEN_MODELS]
 
@@ -555,19 +535,30 @@ class TestReferenceModel:
 
 
 class TestErrorFreeChannel:
+    @staticmethod
+    def exact(k, slot, M=8, T=0.5, F=1000):
+        """Time average over F frames of user k, whose age is k*T at t=0 and
+        who delivers at the end of ``slot`` of every frame, resetting to
+        slot*T: a first ramp of ``slot`` slots from k, F-1 whole frames and
+        M - slot slots at the end, each from ``slot``; the steady-state
+        average is slot*T + M*T/2."""
+        twice_area = (2 * k * slot + slot ** 2 + (F - 1) * (2 * slot * M + M ** 2)
+                      + 2 * slot * (M - slot) + (M - slot) ** 2)
+        return twice_area * T / (2 * F * M)
+
     def test_gar_tdma_exact(self):
         [r] = run_many([cfg(scheme="TDMA", gen_model="GAR", M=8, T=0.5, R=0.0,
-                            frames=1000, warmup=10)])
-        for k in range(8):
-            assert r.per_user_aoi[k] == pytest.approx((k + 1) * 0.5 + 2.0, rel=1e-12)
+                            frames=1000)])
+        for k in range(1, 9):
+            assert r.per_user_aoi[k - 1] == pytest.approx(self.exact(k, k), rel=1e-12)
 
     def test_gar_crnoma_exact(self):
         # every user succeeds at its first opportunity (slot m of its pair)
         [r] = run_many([cfg(scheme="CR-NOMA", gen_model="GAR", M=8, T=0.5, R=0.0,
-                            frames=1000, warmup=10)])
-        for k in range(8):
-            m = k + 1 if k < 4 else k - 3
-            assert r.per_user_aoi[k] == pytest.approx(m * 0.5 + 2.0, rel=1e-12)
+                            frames=1000)])
+        for k in range(1, 9):
+            m = k if k <= 4 else k - 4
+            assert r.per_user_aoi[k - 1] == pytest.approx(self.exact(k, m), rel=1e-12)
 
 
 class TestAgainstClosedForms:
@@ -593,7 +584,7 @@ class TestAgainstClosedForms:
 class TestEventStatistics:
     def test_crnoma_gaw_frequencies_match_partition(self):
         c = cfg(scheme="CR-NOMA", gen_model="GAW", M=4, T=1.0, frames=100_000,
-                warmup=0, seed=9)
+                seed=9)
         events = deliveries(c)
         part = analytic.gaw_partition(c.eps, c.P, c.P_S)
         M, T = c.M, c.T
