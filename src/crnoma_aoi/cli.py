@@ -18,10 +18,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .experiments import (OUTPUTS, PRESETS, ExperimentSpec, check_distinct,
-                          check_users, run_experiment)
-from .model import (GEN_MODELS, check_frames, check_M, check_scheme, check_seed,
-                    check_T, db_to_linear, epsilon_of)
+from .experiments import (OUTPUTS, PRESETS, ExperimentSpec, check_axis,
+                          check_distinct, check_gar_users, check_users,
+                          run_experiment)
+from .model import (GEN_MODELS, check_frames, check_M, check_R, check_scheme,
+                    check_seed, check_snr_db, check_T, db_to_linear, epsilon_of)
 from .validation import LEVELS, partition_table, print_report, run_validation
 
 
@@ -35,10 +36,10 @@ def _checked(cast):
     return parse
 
 
-def _list_of(cast):
+def _list_of(cast, check=check_axis):
     """Comma-separated tokens, each stripped and cast by ``_checked(cast)``,
-    no two of them equal."""
-    return _checked(lambda text: check_distinct(tuple(
+    the tuple of them passed by ``check``: by default, a sweep axis."""
+    return _checked(lambda text: check(tuple(
         cast(tok) for tok in map(str.strip, text.split(",")) if tok)))
 
 
@@ -53,9 +54,11 @@ _SPEC_KEYS = {
                          "metavar": "4,8"}),
     "T_values": ("--T", {"type": _list_of(lambda tok: check_T(float(tok))),
                          "metavar": "0.5,1.5"}),
-    "R_values": ("--R", {"type": _list_of(float), "metavar": "0.5,1"}),
-    "snr_db_values": ("--snr-db", {"type": _list_of(float), "metavar": "0,5,10"}),
-    "users": ("--users", {"type": _list_of(int), "metavar": "1,5"}),
+    "R_values": ("--R", {"type": _list_of(lambda tok: check_R(float(tok))),
+                         "metavar": "0.5,1"}),
+    "snr_db_values": ("--snr-db", {"type": _list_of(lambda tok: check_snr_db(float(tok))),
+                                   "metavar": "0,5,10"}),
+    "users": ("--users", {"type": _list_of(int, check_distinct), "metavar": "1,5"}),
     "outputs": (None, {"choices": OUTPUTS}),
     "frames": ("--frames", {"type": _checked(lambda tok: check_frames(int(tok)))}),
     "seed": ("--seed", {"type": _checked(lambda tok: check_seed(int(tok)))}),
@@ -106,12 +109,14 @@ def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
     flags = {key: getattr(args, key) for key in _SPEC_KEYS
              if getattr(args, key) is not None}
     spec = replace(spec, **flags)
-    # the one rule over two keys, checked here if the file set either key
-    where = [f"{args.config}:{lines[k]}: {k}" for k in ("users", "M_values")
-             if k in lines and k not in flags]
-    if where:
+    # the rules over two keys, each checked here if the file set either key
+    for rule, keys in ((check_gar_users, ("users", "gen_model")),
+                       (check_users, ("users", "M_values"))):
+        where = [f"{args.config}:{lines[k]}: {k}" for k in keys
+                 if k in lines and k not in flags]
         try:
-            check_users(spec.users, spec.M_values)
+            if where:
+                rule(*(getattr(spec, k) for k in keys))
         except ValueError as exc:
             raise ValueError(f"{' and '.join(where)}: {exc}") from None
     return spec

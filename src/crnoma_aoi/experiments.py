@@ -55,11 +55,8 @@ class ExperimentSpec:
         duplicates; a non-empty ``users`` applies to GAR only."""
         for name in ("schemes", "M_values", "T_values", "R_values",
                      "snr_db_values", "users"):
-            values = getattr(self, name)
-            if not values and name != "users":
-                raise ValueError(f"{name} must not be empty")
             try:
-                check_distinct(values)
+                (check_distinct if name == "users" else check_axis)(getattr(self, name))
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from None
         if self.outputs not in OUTPUTS:
@@ -72,8 +69,7 @@ class ExperimentSpec:
             configs[scheme, M, T, R, snr] = SystemConfig(
                 M=M, T=T, R=R, P=P, P_S=P, scheme=scheme, gen_model=self.gen_model,
                 frames=self.frames, seed=self.seed)
-        if self.users and self.gen_model != "GAR":
-            raise ValueError("users apply to GAR only")
+        check_gar_users(self.users, self.gen_model)
         check_users(self.users, self.M_values)
         return configs
 
@@ -83,6 +79,19 @@ def check_distinct(values: tuple | None) -> tuple | None:
     if values and len(set(values)) < len(values):
         raise ValueError(f"duplicate values in {values}")
     return values
+
+
+def check_axis(values: tuple) -> tuple:
+    """values itself, if it is a valid sweep axis: non-empty, no two equal."""
+    if not values:
+        raise ValueError("must not be empty")
+    return check_distinct(values)
+
+
+def check_gar_users(users: tuple[int, ...] | None, gen_model: str) -> None:
+    """Reject requested users under a model other than GAR."""
+    if users and gen_model != "GAR":
+        raise ValueError("users apply to GAR only")
 
 
 def check_users(users: tuple[int, ...] | None, M_values: tuple[int, ...]) -> None:

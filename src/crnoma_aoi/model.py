@@ -43,12 +43,12 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("R", "P", "P_S"):
+        for name in ("P", "P_S"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         check_M(self.M)
         check_T(self.T)
-        epsilon_of(self.R)   # R >= 0 and 2^R - 1 within float range
+        check_R(self.R)
         if self.P <= 0 or self.P_S <= 0:
             raise ValueError("P and P_S must be > 0 (linear SNR)")
         check_scheme(self.scheme)
@@ -81,6 +81,15 @@ def check_T(T: float) -> float:
     if T <= 0:
         raise ValueError(f"T must be > 0, got {T}")
     return T
+
+
+def check_R(R: float) -> float:
+    """R itself, if it is a valid rate: finite, >= 0, and with 2^R - 1
+    within float range."""
+    if not math.isfinite(R):
+        raise ValueError(f"R must be finite, got {R}")
+    epsilon_of(R)
+    return R
 
 
 def check_frames(frames: int) -> int:
@@ -128,6 +137,12 @@ def db_to_linear(x_db: float) -> float:
     if not 0.0 < x < math.inf:
         raise ValueError(f"{x_db} dB is not a finite positive linear power ratio")
     return x
+
+
+def check_snr_db(snr_db: float) -> float:
+    """snr_db itself, if :func:`db_to_linear` maps it to a valid power."""
+    db_to_linear(snr_db)
+    return snr_db
 
 
 def draw_gains(rng: np.random.Generator, size) -> np.ndarray:

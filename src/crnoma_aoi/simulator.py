@@ -43,9 +43,9 @@ draws each chunk's gains and states the pair's reset ages.
 each chunk's gains among configs with the same M, model, horizon and seed,
 and classifies them per (scheme, R, P, P_S); T only scales the integer areas.
 :func:`_pair_areas` integrates one pair, and :func:`_integrate` runs it over
-the pairs, in forked worker processes when the run has work and pairs
-enough to pay for them.  The areas of a pair are the same Python ints in
-any process, so a report is bit-identical however its pairs were spread.
+the pairs, in forked workers that the parent only coordinates, when the run
+has work and pairs enough to pay for them.  A pair's areas are the same
+Python ints in any process, so a report is bit-identical wherever it ran.
 :func:`deliveries` returns the same deliveries as arrays, per user, for
 :func:`crnoma_aoi.oracle.renewal_aoi` to integrate independently: integer
 slot ends, multiplied by T once, of only the chunks that deliver.
@@ -53,8 +53,10 @@ slot ends, multiplied by T once, of only the chunks that deliver.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
+import signal
 import threading
 from dataclasses import dataclass
 
@@ -201,40 +203,17 @@ def _pair_areas(config: SystemConfig, keyed: dict, m: int) -> dict:
     return areas
 
 
-def _take_pairs(config: SystemConfig, keyed: dict, queue: int) -> dict:
-    """Read pair numbers from the pipe ``queue`` one at a time until it is
-    empty and integrate each: pair -> :func:`_pair_areas`."""
-    areas = {}
-    while data := os.read(queue, 4):
-        m = int.from_bytes(data, "little")
-        areas[m] = _pair_areas(config, keyed, m)
-    return areas
-
-
-def _drain(queue: int) -> None:
-    """Empty the pair pipe, so that every worker stops after its pair."""
-    while os.read(queue, 4):
-        pass
-
-
 def _integrate(config: SystemConfig, keyed: dict) -> dict:
-    """pair -> :func:`_pair_areas` for every pair of ``config``.  The run,
-    counted as configs of ``keyed`` x frames x M/2, is spread over as many
-    processes as it has FORK_CONFIG_PAIR_FRAMES of work and FORK_PAIRS
-    pairs for, at most one per usable CPU; the parent forks the others.  The
-    parent and the workers take pair numbers from one pipe, and each worker
-    pickles its pairs' areas back through a pipe of its own.  A worker's
-    exception is raised here.  The run stays in this process when that
-    comes to one process, without ``os.sched_getaffinity`` (not Linux), or
-    while another thread is alive, since forking a threaded process can
-    deadlock.
-
-    A run that takes every usable CPU pins one process to each, and the
-    parent's CPU set is restored before it returns: left to itself, the
-    scheduler of a 2-vCPU host kept parent and worker on one CPU in most
-    runs measured.  Concurrent such runs then share every CPU alike.  A
-    run with fewer processes than CPUs is not pinned, so that concurrent
-    runs do not pile onto the same CPUs."""
+    """pair -> :func:`_pair_areas` for every pair of ``config``.  Forked
+    workers integrate the pairs: one per FORK_CONFIG_PAIR_FRAMES of the
+    run's work (configs x frames x M/2) and FORK_PAIRS pairs, at most one
+    per usable CPU, each pinned to its own CPU if they take every CPU (left
+    alone, a 2-vCPU host's scheduler often kept two on one CPU).  This
+    process only hands the pairs out, one at a time through one pipe, and
+    gathers their areas, or raises a worker's exception, or ChildProcessError
+    for a worker that sent none.  The run stays here when it comes to one
+    worker, without ``os.sched_getaffinity`` (not Linux), or while another
+    thread is alive, since forking a threaded process can deadlock."""
     h = config.M // 2
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     workers = min(len(cpus), h // FORK_PAIRS,
@@ -246,26 +225,28 @@ def _integrate(config: SystemConfig, keyed: dict) -> dict:
     replies: dict = {}   # worker pid -> read end of its reply pipe, as a file
     try:
         try:
-            for cpu in cpus[1:workers]:
+            for cpu in cpus[:workers]:
                 reply_r, reply_w = os.pipe()
                 pid = os.fork()
                 if pid == 0:
-                    inherited = [queue_w, reply_r, *(r.fileno() for r in replies.values())]
-                    _worker(config, keyed, {cpu} if pinned else None, queue_r,
-                            inherited, reply_w)
+                    _worker(config, keyed, cpu if pinned else None, queue_r,
+                            queue_w, reply_w)
                 os.close(reply_w)
                 replies[pid] = open(reply_r, "rb")
+        finally:
+            os.close(queue_r)   # so that writing fails once every worker ended
+        try:
             # written once the workers run, since they read while the pipe
             # fills, in writes of at most PIPE_BUF >= 512 bytes, each atomic,
             # so that every 4-byte read takes one whole pair number
             queue = b"".join(m.to_bytes(4, "little") for m in range(1, h + 1))
             for at in range(0, len(queue), 512):
                 os.write(queue_w, queue[at:at + 512])
+        except BrokenPipeError:   # the replies say why every worker ended
+            pass
         finally:
             os.close(queue_w)
-        if pinned:
-            _pin(cpus[:1])
-        areas = _take_pairs(config, keyed, queue_r)
+        areas = {}
         for pid, reply in replies.items():
             data = reply.read()
             if not data:
@@ -276,47 +257,36 @@ def _integrate(config: SystemConfig, keyed: dict) -> dict:
             areas.update(value)
         return areas
     finally:
-        _drain(queue_r)
-        os.close(queue_r)
+        # no other process can reap a worker, so its pid is still its own
         for pid, reply in replies.items():
             reply.close()
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        if pinned:
-            _pin(cpus)
 
 
-def _pin(cpus) -> None:
-    """Restrict this process to the CPU set ``cpus``.  Where the OS refuses,
-    the process stays where it may run: pinning affects speed only."""
+def _worker(config: SystemConfig, keyed: dict, cpu: int | None, queue_r: int,
+            queue_w: int, reply_w: int) -> None:
+    """A forked worker's whole life: close ``queue_w``, move to ``cpu`` if
+    given, integrate the pairs read from ``queue_r``, pickle ``(True, pair
+    -> areas)`` or ``(False, exception)`` to ``reply_w``, and end without
+    running any of the parent's clean-up; the parent reads only the reply."""
     try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        pass
-
-
-def _worker(config: SystemConfig, keyed: dict, cpus: set | None, queue: int,
-            inherited: list[int], reply_w: int) -> None:
-    """A forked worker's whole life: close the ``inherited`` descriptors it
-    has no use for, move to ``cpus`` if given, take pairs from ``queue`` and
-    pickle ``(True, areas)``, or ``(False, exception)`` after emptying the
-    queue, to ``reply_w``; then end the process without running any of the
-    parent's clean-up."""
-    status = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        if cpus is not None:
-            _pin(cpus)
+        os.close(queue_w)
+        if cpu is not None:
+            with contextlib.suppress(OSError):   # pinning affects speed only
+                os.sched_setaffinity(0, {cpu})
         try:
-            reply = (True, _take_pairs(config, keyed, queue))
+            areas = {}
+            while data := os.read(queue_r, 4):
+                m = int.from_bytes(data, "little")
+                areas[m] = _pair_areas(config, keyed, m)
+            reply = (True, areas)
         except BaseException as exc:
-            _drain(queue)
             reply = (False, exc)
         with open(reply_w, "wb") as fh:
             pickle.dump(reply, fh)
-        status = 0
     finally:
-        os._exit(status)
+        os._exit(0)
 
 
 def run_many(configs: list[SystemConfig]) -> list[AoiReport]:

@@ -391,7 +391,16 @@ class TestCliMain:
                             ("schemes=TDMA,XYZ", ":1: schemes: scheme must be one of"),
                             ("M_values=4,3", ":1: M_values: M must be an even"),
                             ("T_values=0.5,-1", ":1: T_values: T must be > 0"),
-                            ("seed=-1", ":1: seed: seed must be >= 0")):
+                            ("seed=-1", ":1: seed: seed must be >= 0"),
+                            ("users=1", ":1: users: users apply to GAR only"),
+                            ("M_values=", ":1: M_values: must not be empty"),
+                            ("T_values=", ":1: T_values: must not be empty"),
+                            ("schemes=", ":1: schemes: must not be empty"),
+                            ("snr_db_values=", ":1: snr_db_values: must not be empty"),
+                            ("R_values=nan", ":1: R_values: R must be finite"),
+                            ("R_values=-1", ":1: R_values: R must be >= 0"),
+                            ("R_values=2000", ":1: R_values: R=2000.0 gives a SINR"),
+                            ("snr_db_values=inf", ":1: snr_db_values: inf dB is not")):
             conf.write_text(line + "\n")
             with pytest.raises(SystemExit) as exc:
                 main(["run", "--config", str(conf)])

@@ -268,47 +268,62 @@ class TestRunMany:
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestForkedPairs:
-    """run_many's pairs in forked workers: every test must leave no child
-    and the parent's CPU set as it found it."""
+    """run_many's pairs in forked workers, the parent only coordinating:
+    every test must leave no child, and the parent must never pin itself."""
 
     @pytest.fixture(autouse=True)
-    def cpus(self, monkeypatch):
-        """The usable CPUs, 0 and 1 unless a test changes the list; requests
-        to pin a process only record the CPU set in ``self.pins``.  A
-        parent that pins itself to its first CPU then restores its set."""
-        cpus, self.pins = [0, 1], []
+    def cpus(self, monkeypatch, tmp_path):
+        """The usable CPUs, 0 and 1 unless a test changes the list.  A
+        worker's request to pin itself is appended to a file, read back by
+        :meth:`pins`, and then refused if ``self.refuse`` is set; a request
+        from the parent fails the test."""
+        cpus, parent = [0, 1], os.getpid()
+        self.pin_log, self.parent_pins, self.refuse = tmp_path / "pins", [], False
+
+        def pin(pid, mask):
+            if os.getpid() == parent:
+                self.parent_pins.append(mask)
+                return
+            with open(self.pin_log, "a") as fh:
+                fh.write(f"{sorted(mask)}\n")
+            if self.refuse:
+                raise PermissionError("not allowed")
+
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus),
                             raising=False)
-        monkeypatch.setattr(os, "sched_setaffinity",
-                            lambda pid, mask: self.pins.append(sorted(mask)),
-                            raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", pin, raising=False)
         yield cpus
-        assert self.pins in ([], [cpus[:1], cpus])
+        assert self.parent_pins == []
         with pytest.raises(ChildProcessError):   # every worker was reaped
             os.waitpid(-1, os.WNOHANG)
 
+    def pins(self):
+        """The CPU sets the workers asked to be pinned to, sorted."""
+        if not self.pin_log.exists():
+            return []
+        return sorted(ast.literal_eval(line)
+                      for line in self.pin_log.read_text().splitlines())
+
     @staticmethod
-    def fork_slow_parent(monkeypatch, fail=None):
-        """Fork on any run of two or more pairs, with each of the parent's
-        pairs taking 0.1 s more, so that the worker surely takes some; the
-        pairs of ``fail`` ("parent" or "worker") raise.  Returns the pairs
-        the parent took."""
+    def fork_every_run(monkeypatch, before_pair=None):
+        """Fork on any run of two or more pairs.  _pair_areas fails if the
+        parent runs it, so that the workers must integrate every pair, and
+        calls ``before_pair(m)`` in the worker before it integrates pair m."""
         parent, real = os.getpid(), simulator._pair_areas
-        taken = []
 
         def pair_areas(config, keyed, m):
-            here = "parent" if os.getpid() == parent else "worker"
-            if here == fail:
-                raise LookupError(f"pair {m} failed in the {here}")
-            if here == "parent":
-                taken.append(m)
-                time.sleep(0.1)
+            assert os.getpid() != parent, f"the parent integrated pair {m}"
+            if before_pair:
+                before_pair(m)
             return real(config, keyed, m)
 
         monkeypatch.setattr(simulator, "_pair_areas", pair_areas)
         monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", 1)
         monkeypatch.setattr(simulator, "FORK_PAIRS", 1)
-        return taken
+
+    @staticmethod
+    def fail(m):
+        raise LookupError(f"pair {m} failed in a worker")
 
     @pytest.mark.parametrize("gen", GEN_MODELS)
     def test_reports_equal_serial(self, monkeypatch, gen):
@@ -317,30 +332,30 @@ class TestForkedPairs:
                    for scheme in SCHEMES for snr in (0.0, 10.0)]
         monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", math.inf)
         serial = run_many(configs)
-        taken = self.fork_slow_parent(monkeypatch)
+        self.fork_every_run(monkeypatch)
         assert run_many(configs) == serial
-        assert 0 < len(taken) < 4   # the worker integrated the other pairs
+        assert self.pins() == [[0], [1]]   # two workers, each on its own CPU
 
     def test_more_workers_than_cores(self, monkeypatch, cpus):
-        # seven workers and the parent share one pipe of eight pairs; a pair
-        # lost or read misaligned would change a report or raise
+        # eight workers share one pipe of eight pairs; a pair lost or read
+        # misaligned would change a report or raise
         cpus[:] = range(8)
         configs = [cfg(scheme=scheme, gen_model="GAR", M=16, frames=3001,
                        seed=12) for scheme in SCHEMES]
         monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", math.inf)
         serial = run_many(configs)
-        monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", 1)
-        monkeypatch.setattr(simulator, "FORK_PAIRS", 1)
+        self.fork_every_run(monkeypatch)
         assert run_many(configs) == serial
+        assert self.pins() == [[cpu] for cpu in range(8)]
 
     @pytest.mark.parametrize("pairs, work, shares", [
         (1, 2, 2), (1, 3, 3), (1, 7, 7), (1, 8, 8), (2, 8, 4), (3, 8, 2),
         (4, 8, 2), (4, 3, 2)])
     def test_processes_bounded(self, monkeypatch, cpus, pairs, work, shares):
-        # each process gets at least FORK_PAIRS = ``pairs`` of the run's 8
+        # each worker gets at least FORK_PAIRS = ``pairs`` of the run's 8
         # pairs and FORK_CONFIG_PAIR_FRAMES, 1/``work`` of its 2 configs x
         # 3001 frames x 8 pairs, however many CPUs there are; only a run on
-        # all eight CPUs pins its processes
+        # all eight CPUs pins its workers, one to each
         cpus[:] = range(8)
         real_fork, forks = os.fork, []
 
@@ -349,31 +364,79 @@ class TestForkedPairs:
             return real_fork()
 
         monkeypatch.setattr(os, "fork", fork)
+        self.fork_every_run(monkeypatch)
         monkeypatch.setattr(simulator, "FORK_PAIRS", pairs)
         monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES",
                             2 * 3001 * 8 // work)
         run_many([cfg(scheme=scheme, M=16, frames=3001) for scheme in SCHEMES])
-        assert len(forks) == shares - 1
-        assert bool(self.pins) == (shares == 8)
+        assert len(forks) == shares
+        assert self.pins() == ([[cpu] for cpu in range(8)] if shares == 8 else [])
 
     def test_pinning_refused(self, monkeypatch):
-        # a CPU set the OS will not take leaves each process where it is
-        def refuse(pid, mask):
-            raise PermissionError("not allowed")
-
-        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        # a CPU set the OS will not take leaves each worker where it is
+        self.refuse = True
         configs = [cfg(frames=3001)]
         monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", math.inf)
         serial = run_many(configs)
-        taken = self.fork_slow_parent(monkeypatch)
+        self.fork_every_run(monkeypatch)
         assert run_many(configs) == serial
-        assert 0 < len(taken) < 4
+        assert self.pins() == [[0], [1]]   # both asked, both were refused
 
-    @pytest.mark.parametrize("where", ["worker", "parent"])
-    def test_exception_reaches_caller(self, monkeypatch, where):
-        self.fork_slow_parent(monkeypatch, fail=where)
-        with pytest.raises(LookupError, match=f"^pair [1-4] failed in the {where}$"):
+    def test_exception_reaches_caller(self, monkeypatch):
+        # one pair fails: the other worker's areas are not enough
+        def fail_3(m):
+            if m == 3:
+                self.fail(m)
+
+        self.fork_every_run(monkeypatch, fail_3)
+        with pytest.raises(LookupError, match="^pair 3 failed in a worker$"):
             run_many([cfg(frames=3001)])
+
+    def test_worker_death_reaches_caller(self, monkeypatch, tmp_path):
+        # a worker that ends in mid-pair sends no reply, and is named
+        died = tmp_path / "died"
+
+        def die(m):
+            if m == 3:
+                died.write_text(str(os.getpid()))
+                os._exit(1)
+
+        self.fork_every_run(monkeypatch, die)
+        with pytest.raises(ChildProcessError) as exc:
+            run_many([cfg(frames=3001)])
+        assert str(exc.value) == f"run_many worker {died.read_text()} sent no result"
+
+    def test_workers_gone_before_queue_written(self, monkeypatch):
+        # 256 pairs take two writes to the queue; the second waits until both
+        # workers, failing on their first pair, have ended, and so finds no
+        # reader: the caller still gets a worker's exception (the wait is
+        # bounded, so that a worker still reading fails the test, not hangs it)
+        self.fork_every_run(monkeypatch, self.fail)
+        real_fork, real_write, pids, writes = os.fork, os.write, [], []
+
+        def fork():
+            pids.append(real_fork())
+            return pids[-1]
+
+        def write(fd, data):
+            deadline = time.monotonic() + 10
+            while writes and time.monotonic() < deadline and any(
+                    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT | os.WNOHANG)
+                    is None for pid in pids):
+                time.sleep(0.01)
+            try:
+                return real_write(fd, data)
+            except BrokenPipeError:
+                writes.append("broken")
+                raise
+            finally:
+                writes.append(len(data))
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "write", write)
+        with pytest.raises(LookupError, match="^pair [12] failed in a worker$"):
+            run_many([cfg(M=512, frames=20)])
+        assert writes == [512, "broken", 512]
 
     @pytest.mark.parametrize("case", ["thread alive", "one CPU", "M=2",
                                       "one process's work", "one process's pairs"])
