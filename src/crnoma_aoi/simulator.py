@@ -44,7 +44,7 @@ each chunk's gains among configs with the same M, model, horizon and seed,
 and classifies them per (scheme, R, P, P_S); T only scales the integer areas.
 :func:`_pair_areas` integrates one pair, and :func:`_integrate` runs it over
 the pairs, in forked workers that the parent only coordinates, when the run
-has work and pairs enough to pay for them.  A pair's areas are the same
+has pairs enough to pay for them.  A pair's areas are the same
 Python ints in any process, so a report is bit-identical wherever it ran.
 :func:`deliveries` returns the same deliveries as arrays, per user, for
 :func:`crnoma_aoi.oracle.renewal_aoi` to integrate independently: integer
@@ -66,9 +66,8 @@ from .model import (N_BATCHES, SystemConfig, draw_gains, primary_success,
                     secondary_capped_success)
 
 CHUNK_FRAMES = 1 << 15
-# configs x frames x M/2, and pairs, that each process of a run_many run
-# must have; with fewer pairs a CPU that slows one process holds up the run
-FORK_CONFIG_PAIR_FRAMES = 400_000
+# pairs that each process of a run_many run must have; with fewer, a CPU
+# that slows one process holds up the run
 FORK_PAIRS = 4
 
 
@@ -205,10 +204,8 @@ def _pair_areas(config: SystemConfig, keyed: dict, m: int) -> dict:
 
 def _integrate(config: SystemConfig, keyed: dict) -> dict:
     """pair -> :func:`_pair_areas` for every pair of ``config``.  Forked
-    workers integrate the pairs: one per FORK_CONFIG_PAIR_FRAMES of the
-    run's work (configs x frames x M/2) and FORK_PAIRS pairs, at most one
-    per usable CPU, each pinned to its own CPU if they take every CPU (left
-    alone, a 2-vCPU host's scheduler often kept two on one CPU).  This
+    workers integrate the pairs, one per FORK_PAIRS pairs and at most one per
+    usable CPU, each pinned to its own CPU if they take every CPU.  This
     process only hands the pairs out, one at a time through one pipe, and
     gathers their areas, or raises a worker's exception, or ChildProcessError
     for a worker that sent none.  The run stays here when it comes to one
@@ -216,26 +213,27 @@ def _integrate(config: SystemConfig, keyed: dict) -> dict:
     thread is alive, since forking a threaded process can deadlock."""
     h = config.M // 2
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    workers = min(len(cpus), h // FORK_PAIRS,
-                  len(keyed) * config.frames * h // FORK_CONFIG_PAIR_FRAMES)
+    workers = min(len(cpus), h // FORK_PAIRS)
     if workers < 2 or threading.active_count() > 1:
         return {m: _pair_areas(config, keyed, m) for m in range(1, h + 1)}
     pinned = workers == len(cpus)
     queue_r, queue_w = os.pipe()
-    replies: dict = {}   # worker pid -> read end of its reply pipe, as a file
+    pids, replies = [], []   # the workers; their reply pipes' read ends, as files
     try:
         try:
-            for cpu in cpus[:workers]:
-                reply_r, reply_w = os.pipe()
-                pid = os.fork()
-                if pid == 0:
-                    _worker(config, keyed, cpu if pinned else None, queue_r,
-                            queue_w, reply_w)
-                os.close(reply_w)
-                replies[pid] = open(reply_r, "rb")
-        finally:
-            os.close(queue_r)   # so that writing fails once every worker ended
-        try:
+            try:
+                for cpu in cpus[:workers]:
+                    reply_r, reply_w = os.pipe()
+                    replies.append(open(reply_r, "rb"))
+                    try:
+                        if (pid := os.fork()) == 0:
+                            _worker(config, keyed, cpu if pinned else None,
+                                    queue_r, queue_w, reply_w)
+                    finally:
+                        os.close(reply_w)
+                    pids.append(pid)
+            finally:
+                os.close(queue_r)   # so that writing fails once every worker ended
             # written once the workers run, since they read while the pipe
             # fills, in writes of at most PIPE_BUF >= 512 bytes, each atomic,
             # so that every 4-byte read takes one whole pair number
@@ -247,7 +245,7 @@ def _integrate(config: SystemConfig, keyed: dict) -> dict:
         finally:
             os.close(queue_w)
         areas = {}
-        for pid, reply in replies.items():
+        for pid, reply in zip(pids, replies):
             data = reply.read()
             if not data:
                 raise ChildProcessError(f"run_many worker {pid} sent no result")
@@ -257,9 +255,10 @@ def _integrate(config: SystemConfig, keyed: dict) -> dict:
             areas.update(value)
         return areas
     finally:
-        # no other process can reap a worker, so its pid is still its own
-        for pid, reply in replies.items():
+        for reply in replies:
             reply.close()
+        # no other process can reap a worker, so its pid is still its own
+        for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 

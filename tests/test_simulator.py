@@ -25,7 +25,7 @@ def cfg(scheme="TDMA", gen_model="GAW", M=8, T=1.5, R=1.0, snr_db=0.0,
                         gen_model=gen_model, frames=frames, seed=seed)
 
 
-class TestWindowedAverage:
+class TestWholeHorizonAverage:
     """Exact time averages of run_many over the whole horizon, on processes
     with known integrals."""
 
@@ -62,15 +62,12 @@ class TestWindowedAverage:
                           + (M - k + 1) ** 2 - 1)
             assert a == pytest.approx(twice_area * T / (2 * F * M), rel=1e-12)
 
-    def test_empty_window(self):
-        # a zero-length averaging window has no time average
-        with pytest.raises(ValueError):
-            cfg(frames=0)
-
-    def test_empty_window_rejected(self):
-        # a non-empty window shorter than the batch count is rejected
+    @pytest.mark.parametrize("frames", [0, 10])
+    def test_empty_window_rejected(self, frames):
+        # an empty horizon has no time average, and one shorter than the
+        # batch count no batch means
         with pytest.raises(ValueError, match="at least 20 frames"):
-            cfg(frames=10)   # fewer frames than batches
+            cfg(frames=frames)
 
 
 class TestKernel:
@@ -100,9 +97,11 @@ class TestKernel:
     def test_memory_bounded(self, monkeypatch):
         # chunked frames: about 4.3 MiB here (the chunk's gains, drawn and
         # copied into contiguous rows, and its origin arrays), where event
-        # arrays for this horizon would take hundreds of MiB; serial, so
-        # that the trace sees every pair
-        monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", math.inf)
+        # arrays for this horizon would take hundreds of MiB; serial (M = 8
+        # has fewer than two processes' FORK_PAIRS), so that the trace sees
+        # every pair
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"),
+                            raising=False)
         tracemalloc.start()
         try:
             run_many([cfg(M=8, frames=2_000_000)])
@@ -111,7 +110,7 @@ class TestKernel:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
 
-    def test_event_log_memory_bounded(self, monkeypatch):
+    def test_deliveries_memory_bounded(self, monkeypatch):
         # deliveries are drawn and classified in chunks, and a chunk without
         # a delivery keeps no array: a 16x longer horizon must not raise the
         # steady-state peak (keeping two empty arrays per user and chunk, it
@@ -131,10 +130,10 @@ class TestKernel:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
 
-    def test_event_log_draws_once_per_pair_and_block(self, monkeypatch):
+    def test_deliveries_draw_once_per_pair_and_chunk(self, monkeypatch):
         # one pass: each of the 2 pairs draws each of its chunks once for
-        # both users (each 8- or 9-frame batch in a block of 7 frames and the
-        # rest), and the arrays match a call that draws each batch in one block
+        # both users (each 8- or 9-frame batch in a chunk of 7 frames and the
+        # rest), and the arrays match a call that draws each batch in one chunk
         c = cfg(scheme="CR-NOMA", M=4, frames=170)
         whole = deliveries(c)
         calls = []
@@ -269,7 +268,8 @@ class TestRunMany:
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestForkedPairs:
     """run_many's pairs in forked workers, the parent only coordinating:
-    every test must leave no child, and the parent must never pin itself."""
+    every test must leave no child and no new open descriptor, and the
+    parent must never pin itself."""
 
     @pytest.fixture(autouse=True)
     def cpus(self, monkeypatch, tmp_path):
@@ -277,7 +277,7 @@ class TestForkedPairs:
         worker's request to pin itself is appended to a file, read back by
         :meth:`pins`, and then refused if ``self.refuse`` is set; a request
         from the parent fails the test."""
-        cpus, parent = [0, 1], os.getpid()
+        cpus, parent, fds = [0, 1], os.getpid(), self.open_fds()
         self.pin_log, self.parent_pins, self.refuse = tmp_path / "pins", [], False
 
         def pin(pid, mask):
@@ -294,8 +294,24 @@ class TestForkedPairs:
         monkeypatch.setattr(os, "sched_setaffinity", pin, raising=False)
         yield cpus
         assert self.parent_pins == []
+        assert self.open_fds() == fds
         with pytest.raises(ChildProcessError):   # every worker was reaped
             os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def open_fds():
+        """This process's open file descriptors."""
+        return sorted(map(int, os.listdir("/proc/self/fd")))
+
+    @staticmethod
+    def serial(cpus, configs):
+        """run_many's reports on the first usable CPU alone, hence serial."""
+        kept = cpus[:]
+        cpus[:] = kept[:1]
+        try:
+            return run_many(configs)
+        finally:
+            cpus[:] = kept
 
     def pins(self):
         """The CPU sets the workers asked to be pinned to, sorted."""
@@ -318,7 +334,6 @@ class TestForkedPairs:
             return real(config, keyed, m)
 
         monkeypatch.setattr(simulator, "_pair_areas", pair_areas)
-        monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", 1)
         monkeypatch.setattr(simulator, "FORK_PAIRS", 1)
 
     @staticmethod
@@ -326,12 +341,11 @@ class TestForkedPairs:
         raise LookupError(f"pair {m} failed in a worker")
 
     @pytest.mark.parametrize("gen", GEN_MODELS)
-    def test_reports_equal_serial(self, monkeypatch, gen):
+    def test_reports_equal_serial(self, monkeypatch, cpus, gen):
         configs = [cfg(scheme=scheme, gen_model=gen, snr_db=snr, frames=3001,
                        seed=12)
                    for scheme in SCHEMES for snr in (0.0, 10.0)]
-        monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", math.inf)
-        serial = run_many(configs)
+        serial = self.serial(cpus, configs)
         self.fork_every_run(monkeypatch)
         assert run_many(configs) == serial
         assert self.pins() == [[0], [1]]   # two workers, each on its own CPU
@@ -342,21 +356,19 @@ class TestForkedPairs:
         cpus[:] = range(8)
         configs = [cfg(scheme=scheme, gen_model="GAR", M=16, frames=3001,
                        seed=12) for scheme in SCHEMES]
-        monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", math.inf)
-        serial = run_many(configs)
+        serial = self.serial(cpus, configs)
         self.fork_every_run(monkeypatch)
         assert run_many(configs) == serial
         assert self.pins() == [[cpu] for cpu in range(8)]
 
-    @pytest.mark.parametrize("pairs, work, shares", [
+    @pytest.mark.parametrize("pairs, usable, shares", [
         (1, 2, 2), (1, 3, 3), (1, 7, 7), (1, 8, 8), (2, 8, 4), (3, 8, 2),
         (4, 8, 2), (4, 3, 2)])
-    def test_processes_bounded(self, monkeypatch, cpus, pairs, work, shares):
+    def test_processes_bounded(self, monkeypatch, cpus, pairs, usable, shares):
         # each worker gets at least FORK_PAIRS = ``pairs`` of the run's 8
-        # pairs and FORK_CONFIG_PAIR_FRAMES, 1/``work`` of its 2 configs x
-        # 3001 frames x 8 pairs, however many CPUs there are; only a run on
-        # all eight CPUs pins its workers, one to each
-        cpus[:] = range(8)
+        # pairs, and there is at most one per ``usable`` CPU; only a run on
+        # every usable CPU pins its workers, one to each
+        cpus[:] = range(usable)
         real_fork, forks = os.fork, []
 
         def fork():
@@ -366,18 +378,16 @@ class TestForkedPairs:
         monkeypatch.setattr(os, "fork", fork)
         self.fork_every_run(monkeypatch)
         monkeypatch.setattr(simulator, "FORK_PAIRS", pairs)
-        monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES",
-                            2 * 3001 * 8 // work)
         run_many([cfg(scheme=scheme, M=16, frames=3001) for scheme in SCHEMES])
         assert len(forks) == shares
-        assert self.pins() == ([[cpu] for cpu in range(8)] if shares == 8 else [])
+        assert self.pins() == ([[cpu] for cpu in range(usable)]
+                               if shares == usable else [])
 
-    def test_pinning_refused(self, monkeypatch):
+    def test_pinning_refused(self, monkeypatch, cpus):
         # a CPU set the OS will not take leaves each worker where it is
         self.refuse = True
         configs = [cfg(frames=3001)]
-        monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES", math.inf)
-        serial = run_many(configs)
+        serial = self.serial(cpus, configs)
         self.fork_every_run(monkeypatch)
         assert run_many(configs) == serial
         assert self.pins() == [[0], [1]]   # both asked, both were refused
@@ -438,13 +448,29 @@ class TestForkedPairs:
             run_many([cfg(M=512, frames=20)])
         assert writes == [512, "broken", 512]
 
+    def test_failed_fork_reaches_caller(self, monkeypatch):
+        # the second fork fails, as it does at a process limit: the caller
+        # gets that error, and the first worker and every pipe are gone
+        real_fork, forks = os.fork, []
+
+        def fork():
+            forks.append(1)
+            if len(forks) == 2:
+                raise BlockingIOError("second fork refused")
+            return real_fork()
+
+        self.fork_every_run(monkeypatch)
+        monkeypatch.setattr(os, "fork", fork)
+        fds = self.open_fds()
+        with pytest.raises(BlockingIOError, match="^second fork refused$"):
+            run_many([cfg(frames=3001)])
+        assert len(forks) == 2
+        assert self.open_fds() == fds
+
     @pytest.mark.parametrize("case", ["thread alive", "one CPU", "M=2",
-                                      "one process's work", "one process's pairs"])
+                                      "one process's pairs"])
     def test_stays_serial(self, monkeypatch, cpus, case):
-        # cfg(frames=3001)'s 3001 x 4 pair-frames are not two processes' work,
-        # and its 4 pairs not two processes' FORK_PAIRS = 4
-        monkeypatch.setattr(simulator, "FORK_CONFIG_PAIR_FRAMES",
-                            3001 * 4 // 2 + 1 if case == "one process's work" else 1)
+        # cfg(frames=3001)'s 4 pairs are not two processes' FORK_PAIRS = 4
         if case != "one process's pairs":
             monkeypatch.setattr(simulator, "FORK_PAIRS", 1)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
