@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -146,10 +145,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_probs(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    check_seed(args.seed)
-    for flag, value in (("--R", args.R), ("--snr-db", args.snr_db), ("--ps-db", args.ps_db)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value}")
     eps = epsilon_of(args.R)
     P = db_to_linear(args.snr_db)
     P_S = db_to_linear(args.ps_db) if args.ps_db is not None else P
@@ -190,15 +185,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="run the validation suite")
     p_val.add_argument("--level", choices=LEVELS)
-    p_val.add_argument("--seed", type=int)
+    seed = _SPEC_KEYS["seed"][1]
+    p_val.add_argument("--seed", **seed)
     p_val.set_defaults(func=_cmd_validate)
 
     p_probs = sub.add_parser("probs", help="Monte Carlo probability dump")
-    p_probs.add_argument("--R", type=float, default=1.0)
-    p_probs.add_argument("--snr-db", dest="snr_db", type=float, default=0.0)
-    p_probs.add_argument("--ps-db", dest="ps_db", type=float, default=None)
+    snr_db = _checked(lambda tok: check_snr_db(float(tok)))
+    p_probs.add_argument("--R", type=_checked(lambda tok: check_R(float(tok))),
+                         default=1.0)
+    p_probs.add_argument("--snr-db", dest="snr_db", type=snr_db, default=0.0)
+    p_probs.add_argument("--ps-db", dest="ps_db", type=snr_db, default=None)
     p_probs.add_argument("--trials", type=int, default=1_000_000)
-    p_probs.add_argument("--seed", type=int, default=0)
+    p_probs.add_argument("--seed", default=0, **seed)
     p_probs.set_defaults(func=_cmd_probs)
     return parser
 

@@ -73,6 +73,8 @@ def estimate_gaw_partition(eps: float, P: float, P_S: float, trials: int,
     slot, else success in the partner's slot as capped secondary, else both
     fail.  Returns (p0, p_first, p_second) estimates.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     buf = np.empty(min(trials, _BLOCK))
     s1 = np.empty(trials, dtype=bool)
     for rows, g_own in _blocks(rng, trials, buf):
@@ -91,6 +93,8 @@ def estimate_gar_partitions(eps: float, P: float, P_S: float, trials: int,
     CR-NOMA with GAR, classified jointly per frame (including the branch
     where the partner's first-slot success leaves user m interference-free
     in slot m').  Returns two triples: (user m, user m')."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     # rows: U_m in slot m, U_m' in slot m, U_m in slot m', U_m' in slot m';
     # the one float row held is g_m_m, then g_m_mp in its place
     buf = np.empty(min(trials, _BLOCK))

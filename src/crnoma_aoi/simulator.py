@@ -56,6 +56,7 @@ from __future__ import annotations
 import contextlib
 import os
 import pickle
+import select
 import signal
 import threading
 from dataclasses import dataclass
@@ -206,44 +207,39 @@ def _integrate(config: SystemConfig, keyed: dict) -> dict:
     """pair -> :func:`_pair_areas` for every pair of ``config``.  Forked
     workers integrate the pairs, one per FORK_PAIRS pairs and at most one per
     usable CPU, each pinned to its own CPU if they take every CPU.  This
-    process only hands the pairs out, one at a time through one pipe, and
-    gathers their areas, or raises a worker's exception, or ChildProcessError
-    for a worker that sent none.  The run stays here when it comes to one
-    worker, without ``os.sched_getaffinity`` (not Linux), or while another
-    thread is alive, since forking a threaded process can deadlock."""
+    process only hands the pairs out, through one pipe that holds the whole
+    queue before any worker exists, and gathers their areas, or raises a
+    worker's exception, or ChildProcessError for a worker that sent none.
+    The run stays here when it comes to one worker, without
+    ``os.sched_getaffinity`` (not Linux), or while another thread is alive,
+    since forking a threaded process can deadlock."""
     h = config.M // 2
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     workers = min(len(cpus), h // FORK_PAIRS)
     if workers < 2 or threading.active_count() > 1:
         return {m: _pair_areas(config, keyed, m) for m in range(1, h + 1)}
     pinned = workers == len(cpus)
+    # one write of at most PIPE_BUF bytes is atomic and fits the empty pipe,
+    # so it cannot block; each 4-byte token names the first of step pairs
+    step = -(-h // (select.PIPE_BUF // 4))
     queue_r, queue_w = os.pipe()
     pids, replies = [], []   # the workers; their reply pipes' read ends, as files
     try:
         try:
-            try:
-                for cpu in cpus[:workers]:
-                    reply_r, reply_w = os.pipe()
-                    replies.append(open(reply_r, "rb"))
-                    try:
-                        if (pid := os.fork()) == 0:
-                            _worker(config, keyed, cpu if pinned else None,
-                                    queue_r, queue_w, reply_w)
-                    finally:
-                        os.close(reply_w)
-                    pids.append(pid)
-            finally:
-                os.close(queue_r)   # so that writing fails once every worker ended
-            # written once the workers run, since they read while the pipe
-            # fills, in writes of at most PIPE_BUF >= 512 bytes, each atomic,
-            # so that every 4-byte read takes one whole pair number
-            queue = b"".join(m.to_bytes(4, "little") for m in range(1, h + 1))
-            for at in range(0, len(queue), 512):
-                os.write(queue_w, queue[at:at + 512])
-        except BrokenPipeError:   # the replies say why every worker ended
-            pass
+            os.write(queue_w, b"".join(m.to_bytes(4, "little")
+                                       for m in range(1, h + 1, step)))
         finally:
-            os.close(queue_w)
+            os.close(queue_w)   # before any fork, so no worker holds it
+        for cpu in cpus[:workers]:
+            reply_r, reply_w = os.pipe()
+            replies.append(open(reply_r, "rb"))
+            try:
+                if (pid := os.fork()) == 0:
+                    _worker(config, keyed, cpu if pinned else None, step,
+                            queue_r, reply_w)
+            finally:
+                os.close(reply_w)
+            pids.append(pid)
         areas = {}
         for pid, reply in zip(pids, replies):
             data = reply.read()
@@ -255,6 +251,7 @@ def _integrate(config: SystemConfig, keyed: dict) -> dict:
             areas.update(value)
         return areas
     finally:
+        os.close(queue_r)
         for reply in replies:
             reply.close()
         # no other process can reap a worker, so its pid is still its own
@@ -263,22 +260,23 @@ def _integrate(config: SystemConfig, keyed: dict) -> dict:
             os.waitpid(pid, 0)
 
 
-def _worker(config: SystemConfig, keyed: dict, cpu: int | None, queue_r: int,
-            queue_w: int, reply_w: int) -> None:
-    """A forked worker's whole life: close ``queue_w``, move to ``cpu`` if
-    given, integrate the pairs read from ``queue_r``, pickle ``(True, pair
+def _worker(config: SystemConfig, keyed: dict, cpu: int | None, step: int,
+            queue_r: int, reply_w: int) -> None:
+    """A forked worker's whole life: move to ``cpu`` if given, read tokens
+    from ``queue_r`` until it is empty, integrating for each the pair it
+    names and the next ``step - 1`` pairs of the run, pickle ``(True, pair
     -> areas)`` or ``(False, exception)`` to ``reply_w``, and end without
     running any of the parent's clean-up; the parent reads only the reply."""
     try:
-        os.close(queue_w)
         if cpu is not None:
             with contextlib.suppress(OSError):   # pinning affects speed only
                 os.sched_setaffinity(0, {cpu})
         try:
             areas = {}
             while data := os.read(queue_r, 4):
-                m = int.from_bytes(data, "little")
-                areas[m] = _pair_areas(config, keyed, m)
+                first = int.from_bytes(data, "little")
+                for m in range(first, min(first + step, config.M // 2 + 1)):
+                    areas[m] = _pair_areas(config, keyed, m)
             reply = (True, areas)
         except BaseException as exc:
             reply = (False, exc)

@@ -459,6 +459,16 @@ class TestCliMain:
         out = capsys.readouterr().out
         assert ("[FAIL] maybe: b" in out) != passed and "[PASS] ok: a" in out
 
+    def test_validate_rejects_negative_seed(self, monkeypatch, capsys):
+        # rejected as the flag is parsed, before any check starts
+        monkeypatch.setattr("crnoma_aoi.cli.run_validation", pytest.fail)
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--seed", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --seed: seed must be >= 0, got -1" in captured.err
+
     def test_probs_command(self, capsys):
         assert main(["probs", "--trials", "20000", "--seed", "1"]) == 0
         out = capsys.readouterr().out
@@ -492,7 +502,9 @@ class TestCliMain:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"error: {flag} must be finite" in captured.err
+        rule = ("R must be finite" if flag == "--R"
+                else f"{float(value)} dB is not a finite positive linear power ratio")
+        assert f"error: argument {flag}: {rule}" in captured.err
 
     @pytest.mark.parametrize("flag,value", [
         ("--snr-db", "4000"), ("--R", "2000"), ("--snr-db", "-4000"),
@@ -505,4 +517,7 @@ class TestCliMain:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and value in captured.err
+        rule = {"--snr-db": f"{float(value)} dB is not a finite positive linear power ratio",
+                "--R": f"R={float(value)} gives a SINR threshold 2^R - 1 outside float range",
+                "--seed": f"seed must be >= 0, got {value}"}[flag]
+        assert f"error: argument {flag}: {rule}" in captured.err

@@ -109,6 +109,18 @@ class TestMemory:
         assert peak < 14 * 2 ** 20
 
 
+class TestTrials:
+    @pytest.mark.parametrize("trials", [0, -1])
+    @pytest.mark.parametrize("estimator", [oracle.estimate_gaw_partition,
+                                           oracle.estimate_gar_partitions])
+    def test_fewer_than_one_rejected(self, estimator, trials):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^trials must be >= 1, got {trials}$"):
+            estimator(EPS1, 1.0, 1.0, trials, rng)
+        assert rng.bit_generator.state == state   # rejected before any draw
+
+
 class TestRenewalAoi:
     def test_uniform_log(self):
         M, T = 8, 1.5

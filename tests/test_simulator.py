@@ -3,9 +3,9 @@ import inspect
 import math
 import os
 import threading
-import time
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -416,37 +416,29 @@ class TestForkedPairs:
             run_many([cfg(frames=3001)])
         assert str(exc.value) == f"run_many worker {died.read_text()} sent no result"
 
-    def test_workers_gone_before_queue_written(self, monkeypatch):
-        # 256 pairs take two writes to the queue; the second waits until both
-        # workers, failing on their first pair, have ended, and so finds no
-        # reader: the caller still gets a worker's exception (the wait is
-        # bounded, so that a worker still reading fails the test, not hangs it)
-        self.fork_every_run(monkeypatch, self.fail)
-        real_fork, real_write, pids, writes = os.fork, os.write, [], []
+    def test_tokens_span_pairs(self, monkeypatch, cpus):
+        # with room for 3 tokens in one atomic write, the 8 pairs go as
+        # tokens 1, 4 and 7, which name 3, 3 and 2 pairs; the whole queue is
+        # that one write, made before any fork
+        configs = [cfg(scheme=scheme, gen_model="GAR", M=16, frames=3001,
+                       seed=12) for scheme in SCHEMES]
+        serial = self.serial(cpus, configs)
+        self.fork_every_run(monkeypatch)
+        real_fork, real_write, calls = os.fork, os.write, []
 
         def fork():
-            pids.append(real_fork())
-            return pids[-1]
+            calls.append("fork")
+            return real_fork()
 
         def write(fd, data):
-            deadline = time.monotonic() + 10
-            while writes and time.monotonic() < deadline and any(
-                    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT | os.WNOHANG)
-                    is None for pid in pids):
-                time.sleep(0.01)
-            try:
-                return real_write(fd, data)
-            except BrokenPipeError:
-                writes.append("broken")
-                raise
-            finally:
-                writes.append(len(data))
+            calls.append(list(np.frombuffer(data, dtype="<u4")))
+            return real_write(fd, data)
 
+        monkeypatch.setattr(simulator, "select", SimpleNamespace(PIPE_BUF=12))
         monkeypatch.setattr(os, "fork", fork)
         monkeypatch.setattr(os, "write", write)
-        with pytest.raises(LookupError, match="^pair [12] failed in a worker$"):
-            run_many([cfg(M=512, frames=20)])
-        assert writes == [512, "broken", 512]
+        assert run_many(configs) == serial
+        assert calls == [[1, 4, 7], "fork", "fork"]
 
     def test_failed_fork_reaches_caller(self, monkeypatch):
         # the second fork fails, as it does at a process limit: the caller
