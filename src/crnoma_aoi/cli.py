@@ -20,8 +20,8 @@ import numpy as np
 from .experiments import (OUTPUTS, PRESETS, ExperimentSpec, check_axis,
                           check_distinct, check_gar_users, check_users,
                           run_experiment)
-from .model import (GEN_MODELS, check_frames, check_M, check_R, check_scheme,
-                    check_seed, check_snr_db, check_T, db_to_linear, epsilon_of)
+from .model import (GEN_MODELS, check_frames, check_M, check_R, check_scheme, check_seed,
+                    check_snr_db, check_T, check_trials, db_to_linear, epsilon_of)
 from .validation import LEVELS, partition_table, print_report, run_validation
 
 
@@ -143,8 +143,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_probs(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     eps = epsilon_of(args.R)
     P = db_to_linear(args.snr_db)
     P_S = db_to_linear(args.ps_db) if args.ps_db is not None else P
@@ -195,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
                          default=1.0)
     p_probs.add_argument("--snr-db", dest="snr_db", type=snr_db, default=0.0)
     p_probs.add_argument("--ps-db", dest="ps_db", type=snr_db, default=None)
-    p_probs.add_argument("--trials", type=int, default=1_000_000)
+    p_probs.add_argument("--trials", type=_checked(lambda tok: check_trials(int(tok))),
+                         default=1_000_000)
     p_probs.add_argument("--seed", default=0, **seed)
     p_probs.set_defaults(func=_cmd_probs)
     return parser

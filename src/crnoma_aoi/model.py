@@ -106,6 +106,13 @@ def check_seed(seed: int) -> int:
     return seed
 
 
+def check_trials(trials: int) -> int:
+    """trials itself, if it is a valid Monte Carlo trial count: at least 1."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    return trials
+
+
 def check_scheme(scheme: str) -> str:
     """scheme itself, if it is one of SCHEMES."""
     if scheme not in SCHEMES:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import primary_success, secondary_capped_success
+from .model import check_trials, primary_success, secondary_capped_success
 
 _BLOCK = 1 << 16   # trials drawn and classified at a time; temporaries stay small
 
@@ -73,9 +73,7 @@ def estimate_gaw_partition(eps: float, P: float, P_S: float, trials: int,
     slot, else success in the partner's slot as capped secondary, else both
     fail.  Returns (p0, p_first, p_second) estimates.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    buf = np.empty(min(trials, _BLOCK))
+    buf = np.empty(min(check_trials(trials), _BLOCK))
     s1 = np.empty(trials, dtype=bool)
     for rows, g_own in _blocks(rng, trials, buf):
         s1[rows] = primary_success(P, g_own, eps)
@@ -93,11 +91,9 @@ def estimate_gar_partitions(eps: float, P: float, P_S: float, trials: int,
     CR-NOMA with GAR, classified jointly per frame (including the branch
     where the partner's first-slot success leaves user m interference-free
     in slot m').  Returns two triples: (user m, user m')."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     # rows: U_m in slot m, U_m' in slot m, U_m in slot m', U_m' in slot m';
     # the one float row held is g_m_m, then g_m_mp in its place
-    buf = np.empty(min(trials, _BLOCK))
+    buf = np.empty(min(check_trials(trials), _BLOCK))
     sm1, sp1 = np.empty(trials, dtype=bool), np.empty(trials, dtype=bool)
     g_m_m = rng.standard_exponential(trials)
     for rows, g_mp_m in _blocks(rng, trials, buf):

@@ -67,9 +67,8 @@ from .model import (N_BATCHES, SystemConfig, draw_gains, primary_success,
                     secondary_capped_success)
 
 CHUNK_FRAMES = 1 << 15
-# pairs that each process of a run_many run must have; with fewer, a CPU
-# that slows one process holds up the run
-FORK_PAIRS = 4
+# pairs per worker at least: with one, the queue cannot even out a slow CPU
+FORK_PAIRS = 2
 
 
 @dataclass(frozen=True)

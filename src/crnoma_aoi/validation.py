@@ -6,16 +6,15 @@ of them at ``full`` level with seed 2024.  Every check compares an independent
 measurement (simulation, Monte Carlo event counting, or series summation)
 against a closed form at an explicit tolerance.  Each ``add`` call is a
 top-level statement of :func:`run_validation`, so every level runs the same
-17 checks in the same order.  ``LEVELS`` holds all that a level changes:
-simulated frames, Monte Carlo trials, the relative simulation tolerance, the
-absolute tolerance of the 40 dB GAR gaps and the size of the probability grid.
+17 checks in the same order.  ``LEVELS`` holds all that a level changes.
 ``fast`` is a quick smoke check, its simulation tolerances widened for its
 larger noise; ``full`` runs at the scale the tolerances are calibrated for.
 The probability grid runs on a worker thread beside the other checks; its
-numbers are those of a serial run, bit for bit.  While that thread is
-alive, ``run_many`` forks no workers.  The renewal cross-check
-hands :func:`crnoma_aoi.simulator.deliveries` straight to
-:func:`crnoma_aoi.oracle.renewal_aoi`, so ``validate`` writes no file.
+numbers are those of a serial run, bit for bit.  While that thread is alive,
+``run_many`` forks no workers; the short ``fast`` grid can end before the
+last M = 8 simulations, which then fork, with bit-identical results.  The
+renewal cross-check hands :func:`crnoma_aoi.simulator.deliveries` straight
+to :func:`crnoma_aoi.oracle.renewal_aoi`, so ``validate`` writes no file.
 """
 
 from __future__ import annotations

@@ -129,6 +129,8 @@ class TestSharedDraws:
         assert all(x["aoi_sim"] != y["aoi_sim"] for x, y in zip(a, b))
 
     def test_gains_drawn_once_per_pair_and_chunk(self, monkeypatch):
+        # one usable CPU keeps the run in this process, where draws are counted
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         calls = []
 
         def counting(rng, size):
@@ -491,7 +493,11 @@ class TestCliMain:
         with pytest.raises(SystemExit) as exc:
             main(["probs", "--trials", trials])
         assert exc.value.code == 2
-        assert "error: --trials must be >= 1" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: crnoma-aoi probs ")
+        assert (f"error: argument --trials: trials must be >= 1, got {trials}"
+                in captured.err)
 
     @pytest.mark.parametrize("flag,value", [
         ("--R", "nan"), ("--R", "inf"), ("--snr-db", "inf"), ("--snr-db", "nan"),

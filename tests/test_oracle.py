@@ -171,8 +171,9 @@ class TestGeometricMoments:
 
 class TestIndependence:
     def test_imports_only_the_success_predicates(self):
-        # the oracle shares the success predicates with the simulator and
-        # nothing else: no simulator, analytic, experiments or validation code
+        # the oracle shares the success predicates with the simulator, and
+        # the trial-count rule with the CLI, and nothing else: no simulator,
+        # analytic, experiments or validation code
         tree = ast.parse(inspect.getsource(oracle))
         package = [node for node in ast.walk(tree)
                    if isinstance(node, ast.ImportFrom)
@@ -180,4 +181,4 @@ class TestIndependence:
                    or isinstance(node, ast.Import)
                    and any(a.name.startswith("crnoma_aoi") for a in node.names)]
         assert [ast.unparse(node) for node in package] == [
-            "from .model import primary_success, secondary_capped_success"]
+            "from .model import check_trials, primary_success, secondary_capped_success"]

@@ -97,9 +97,9 @@ class TestKernel:
     def test_memory_bounded(self, monkeypatch):
         # chunked frames: about 4.3 MiB here (the chunk's gains, drawn and
         # copied into contiguous rows, and its origin arrays), where event
-        # arrays for this horizon would take hundreds of MiB; serial (M = 8
-        # has fewer than two processes' FORK_PAIRS), so that the trace sees
-        # every pair
+        # arrays for this horizon would take hundreds of MiB; serial (one
+        # usable CPU), so that the trace sees every pair
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"),
                             raising=False)
         tracemalloc.start()
@@ -268,8 +268,8 @@ class TestRunMany:
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestForkedPairs:
     """run_many's pairs in forked workers, the parent only coordinating:
-    every test must leave no child and no new open descriptor, and the
-    parent must never pin itself."""
+    every test must leave no new open descriptor, and the parent must never
+    pin itself; ``tests/conftest.py`` fails any test that leaves a child."""
 
     @pytest.fixture(autouse=True)
     def cpus(self, monkeypatch, tmp_path):
@@ -295,8 +295,6 @@ class TestForkedPairs:
         yield cpus
         assert self.parent_pins == []
         assert self.open_fds() == fds
-        with pytest.raises(ChildProcessError):   # every worker was reaped
-            os.waitpid(-1, os.WNOHANG)
 
     @staticmethod
     def open_fds():
@@ -383,6 +381,23 @@ class TestForkedPairs:
         assert self.pins() == ([[cpu] for cpu in range(usable)]
                                if shares == usable else [])
 
+    @pytest.mark.parametrize("M, workers", [(8, 2), (4, 0)])
+    def test_default_sizing(self, monkeypatch, cpus, M, workers):
+        # FORK_PAIRS as shipped, on 2 usable CPUs: an M = 8 run forks one
+        # pinned worker per CPU, and an M = 4 run stays here
+        configs = [cfg(scheme=scheme, M=M, frames=3001) for scheme in SCHEMES]
+        serial = self.serial(cpus, configs)
+        real_fork, forks = os.fork, []
+
+        def fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert run_many(configs) == serial
+        assert len(forks) == workers
+        assert self.pins() == [[cpu] for cpu in cpus[:workers]]
+
     def test_pinning_refused(self, monkeypatch, cpus):
         # a CPU set the OS will not take leaves each worker where it is
         self.refuse = True
@@ -462,13 +477,13 @@ class TestForkedPairs:
     @pytest.mark.parametrize("case", ["thread alive", "one CPU", "M=2",
                                       "one process's pairs"])
     def test_stays_serial(self, monkeypatch, cpus, case):
-        # cfg(frames=3001)'s 4 pairs are not two processes' FORK_PAIRS = 4
+        # M = 4's 2 pairs are not two processes' FORK_PAIRS = 2
         if case != "one process's pairs":
             monkeypatch.setattr(simulator, "FORK_PAIRS", 1)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
         if case == "one CPU":
             cpus[:] = [0]
-        c = cfg(M=2 if case == "M=2" else 8, frames=3001)
+        c = cfg(M={"M=2": 2, "one process's pairs": 4}.get(case, 8), frames=3001)
         done = threading.Event()
         thread = threading.Thread(target=done.wait)
         if case == "thread alive":
