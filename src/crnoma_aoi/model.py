@@ -8,6 +8,7 @@ or numpy arrays and evaluate elementwise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +70,7 @@ class SystemConfig:
 
 def check_M(M: int) -> int:
     """M itself, if it is a valid number of users: an even integer >= 2."""
-    if M < 2 or M % 2 != 0:
+    if not isinstance(M, numbers.Integral) or M < 2 or M % 2 != 0:
         raise ValueError(f"M must be an even integer >= 2, got {M}")
     return M
 
@@ -93,15 +94,16 @@ def check_R(R: float) -> float:
 
 
 def check_frames(frames: int) -> int:
-    """frames itself, if it is a valid horizon: at least one frame per batch."""
-    if frames < N_BATCHES:
+    """frames itself, if it is a valid horizon: a whole number of frames,
+    at least one per batch."""
+    if not isinstance(frames, numbers.Integral) or frames < N_BATCHES:
         raise ValueError(f"need at least {N_BATCHES} frames, got {frames}")
     return frames
 
 
 def check_seed(seed: int) -> int:
     """seed itself, if it is a valid seed: an integer >= 0."""
-    if seed < 0:
+    if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return seed
 

@@ -16,3 +16,16 @@ def no_child_left():
     except ChildProcessError:   # no child at all
         return
     pytest.fail(f"child {pid} left unreaped" if pid else "a child still runs")
+
+
+@pytest.fixture(autouse=True)
+def no_fd_left():
+    """Fail a test after which this process has open file descriptors other
+    than those it had before: run_many must close each pipe end it opens on
+    every path, forked or not."""
+    if not os.path.isdir("/proc/self/fd"):   # no descriptor table to read
+        yield
+        return
+    before = sorted(map(int, os.listdir("/proc/self/fd")))
+    yield
+    assert sorted(map(int, os.listdir("/proc/self/fd"))) == before

@@ -249,13 +249,23 @@ class TestDegenerateSpecs:
 
 
 class TestValidate:
-    def test_leaves_no_temp_files(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        checks = run_validation("fast")
-        assert any(c.name == "renewal_cross_check" and c.passed for c in checks)
-        assert list(tmp_path.iterdir()) == []
+    @pytest.fixture(scope="class")
+    def fast_run(self, tmp_path_factory):
+        # one run_validation("fast") shared by the tests below: its checks,
+        # the temp dir it wrote under, and the thread count before and after
+        tmp = tmp_path_factory.mktemp("validate")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tempfile, "tempdir", str(tmp))
+            before = threading.active_count()
+            checks = run_validation("fast")
+            return checks, tmp, before, threading.active_count()
 
-    def test_same_checks_in_same_order_at_every_level(self):
+    def test_leaves_no_temp_files(self, fast_run):
+        checks, tmp, _, _ = fast_run
+        assert any(c.name == "renewal_cross_check" and c.passed for c in checks)
+        assert list(tmp.iterdir()) == []
+
+    def test_same_checks_in_same_order_at_every_level(self, fast_run):
         # Every add() call is a top-level statement of run_validation, so
         # each level runs each check once, in source order; the fast run
         # then shows the names the full run prints.
@@ -266,23 +276,23 @@ class TestValidate:
                      if isinstance(stmt, ast.Expr) and stmt.value in calls]
         names = [call.args[0].value for call in top_level]
         assert len(top_level) == len(calls) == len(set(names)) == 17
-        assert [c.name for c in run_validation("fast")] == names
+        assert [c.name for c in fast_run[0]] == names
 
     @pytest.mark.parametrize("fail", [False, True])
-    def test_grid_worker_joined(self, fail, monkeypatch):
+    def test_grid_worker_joined(self, fail, fast_run, monkeypatch):
         # the probability grid runs on a worker thread: its error reaches the
         # caller, and the thread is gone when run_validation returns or raises
         def broken(*args):
             raise RuntimeError("grid failed")
 
-        if fail:
-            monkeypatch.setattr(oracle, "estimate_gar_partitions", broken)
+        if not fail:
+            checks, _, before, after = fast_run
+            assert all(c.passed for c in checks) and after == before
+            return
+        monkeypatch.setattr(oracle, "estimate_gar_partitions", broken)
         before = threading.active_count()
-        if fail:
-            with pytest.raises(RuntimeError, match="grid failed"):
-                run_validation("fast")
-        else:
-            assert all(c.passed for c in run_validation("fast"))
+        with pytest.raises(RuntimeError, match="grid failed"):
+            run_validation("fast")
         assert threading.active_count() == before
 
     def test_negative_seed_rejected_before_worker(self, monkeypatch):
@@ -488,42 +498,31 @@ class TestCliMain:
         out = capsys.readouterr().out
         assert "certified for P = P_S" in out
 
-    @pytest.mark.parametrize("trials", ["0", "-5"])
-    def test_probs_rejects_nonpositive_trials(self, trials, capsys):
+    DB_RULE = "dB is not a finite positive linear power ratio"
+    PROBS_REJECTED = [
+        ("--trials", "0", "trials must be >= 1, got 0"),
+        ("--trials", "-5", "trials must be >= 1, got -5"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--R", "nan", "R must be finite"),
+        ("--R", "inf", "R must be finite"),
+        ("--snr-db", "inf", f"inf {DB_RULE}"),
+        ("--snr-db", "nan", f"nan {DB_RULE}"),
+        ("--snr-db", "-inf", f"-inf {DB_RULE}"),
+        ("--ps-db", "nan", f"nan {DB_RULE}"),
+        ("--ps-db", "inf", f"inf {DB_RULE}"),
+        # 2^R or 10^(dB/10) overflows, or the power underflows to 0
+        ("--R", "2000", "R=2000.0 gives a SINR threshold 2^R - 1 outside float range"),
+        ("--snr-db", "4000", f"4000.0 {DB_RULE}"),
+        ("--snr-db", "-4000", f"-4000.0 {DB_RULE}"),
+    ]
+
+    @pytest.mark.parametrize("flag, value, rule", PROBS_REJECTED,
+                             ids=[f"{flag}-{value}" for flag, value, _ in PROBS_REJECTED])
+    def test_probs_rejects(self, flag, value, rule, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["probs", "--trials", trials])
+            main(["probs", "--trials", "100", f"{flag}={value}"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage: crnoma-aoi probs ")
-        assert (f"error: argument --trials: trials must be >= 1, got {trials}"
-                in captured.err)
-
-    @pytest.mark.parametrize("flag,value", [
-        ("--R", "nan"), ("--R", "inf"), ("--snr-db", "inf"), ("--snr-db", "nan"),
-        ("--snr-db", "-inf"), ("--ps-db", "nan"), ("--ps-db", "inf")])
-    def test_probs_rejects_non_finite(self, flag, value, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["probs", "--trials", "100", f"{flag}={value}"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        rule = ("R must be finite" if flag == "--R"
-                else f"{float(value)} dB is not a finite positive linear power ratio")
-        assert f"error: argument {flag}: {rule}" in captured.err
-
-    @pytest.mark.parametrize("flag,value", [
-        ("--snr-db", "4000"), ("--R", "2000"), ("--snr-db", "-4000"),
-        ("--seed", "-1")])
-    def test_probs_rejects_out_of_float_range(self, flag, value, capsys):
-        # 2^R or 10^(dB/10) overflows, the power underflows to 0, or the seed
-        # is negative
-        with pytest.raises(SystemExit) as exc:
-            main(["probs", "--trials", "100", f"{flag}={value}"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        rule = {"--snr-db": f"{float(value)} dB is not a finite positive linear power ratio",
-                "--R": f"R={float(value)} gives a SINR threshold 2^R - 1 outside float range",
-                "--seed": f"seed must be >= 0, got {value}"}[flag]
         assert f"error: argument {flag}: {rule}" in captured.err

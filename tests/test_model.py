@@ -104,11 +104,14 @@ class TestSystemConfig:
         cfg = SystemConfig(M=8, T=1.5, R=1.0, P=1.0, P_S=1.0)
         assert cfg.eps == 1.0
         assert cfg.frame_duration == 12.0
+        SystemConfig(M=np.int64(8), T=1.5, R=1.0, P=1.0, P_S=1.0,
+                     frames=np.int32(2000), seed=np.uint32(3))
 
     @pytest.mark.parametrize("kw", [
         dict(M=7), dict(M=0), dict(T=0.0), dict(R=-1.0), dict(P=0.0),
         dict(P_S=-1.0), dict(scheme="FDMA"), dict(gen_model="GAX"),
-        dict(frames=19), dict(frames=-1),
+        dict(frames=19), dict(frames=-1), dict(M=8.0), dict(frames=2000.0),
+        dict(seed=1.5),
     ])
     def test_invalid(self, kw):
         base = dict(M=8, T=1.5, R=1.0, P=1.0, P_S=1.0)

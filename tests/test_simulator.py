@@ -2,6 +2,7 @@ import ast
 import inspect
 import math
 import os
+import select
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -265,11 +266,19 @@ class TestRunMany:
             r.overall_halfwidth))
 
 
+def both_schemes(snrs=(0.0,), **kw):
+    """3001-frame TDMA and CR-NOMA configs at each SNR in ``snrs`` (dB)."""
+    return [cfg(scheme=scheme, snr_db=snr, frames=3001, **kw)
+            for scheme in SCHEMES for snr in snrs]
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestForkedPairs:
-    """run_many's pairs in forked workers, the parent only coordinating:
-    every test must leave no new open descriptor, and the parent must never
-    pin itself; ``tests/conftest.py`` fails any test that leaves a child."""
+    """run_many's pairs in forked workers, the parent only coordinating: the
+    parent must never pin itself, and ``tests/conftest.py`` fails any test
+    that leaves a child or a new open descriptor."""
+
+    TWO_WORKERS = [[1, 2, 3, 4], "fork", "fork"]   # an M = 8 run, pair by pair
 
     @pytest.fixture(autouse=True)
     def cpus(self, monkeypatch, tmp_path):
@@ -277,8 +286,9 @@ class TestForkedPairs:
         worker's request to pin itself is appended to a file, read back by
         :meth:`pins`, and then refused if ``self.refuse`` is set; a request
         from the parent fails the test."""
-        cpus, parent, fds = [0, 1], os.getpid(), self.open_fds()
+        cpus, parent = [0, 1], os.getpid()
         self.pin_log, self.parent_pins, self.refuse = tmp_path / "pins", [], False
+        self.pin_log.touch()
 
         def pin(pid, mask):
             if os.getpid() == parent:
@@ -294,35 +304,41 @@ class TestForkedPairs:
         monkeypatch.setattr(os, "sched_setaffinity", pin, raising=False)
         yield cpus
         assert self.parent_pins == []
-        assert self.open_fds() == fds
 
-    @staticmethod
-    def open_fds():
-        """This process's open file descriptors."""
-        return sorted(map(int, os.listdir("/proc/self/fd")))
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The parent's os.write and os.fork calls, in order: a write as the
+        4-byte tokens it wrote, a fork as "fork".  The fork after
+        ``self.forks_allowed`` of them raises BlockingIOError, as it does at a
+        process limit."""
+        real_fork, real_write, calls = os.fork, os.write, []
+        self.forks_allowed = math.inf
 
-    @staticmethod
-    def serial(cpus, configs):
-        """run_many's reports on the first usable CPU alone, hence serial."""
-        kept = cpus[:]
-        cpus[:] = kept[:1]
-        try:
-            return run_many(configs)
-        finally:
-            cpus[:] = kept
+        def fork():
+            calls.append("fork")
+            if calls.count("fork") > self.forks_allowed:
+                raise BlockingIOError("fork refused")
+            return real_fork()
+
+        def write(fd, data):
+            calls.append(np.frombuffer(data, dtype="<u4").tolist())
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "write", write)
+        return calls
 
     def pins(self):
         """The CPU sets the workers asked to be pinned to, sorted."""
-        if not self.pin_log.exists():
-            return []
         return sorted(ast.literal_eval(line)
                       for line in self.pin_log.read_text().splitlines())
 
     @staticmethod
-    def fork_every_run(monkeypatch, before_pair=None):
-        """Fork on any run of two or more pairs.  _pair_areas fails if the
-        parent runs it, so that the workers must integrate every pair, and
-        calls ``before_pair(m)`` in the worker before it integrates pair m."""
+    def fork_every_run(monkeypatch, before_pair=None, pairs=1):
+        """Set FORK_PAIRS to ``pairs``, so that by default any run of two or
+        more pairs forks.  _pair_areas fails if the parent runs it, so that
+        the workers must integrate every pair, and calls ``before_pair(m)``
+        in the worker before it integrates pair m."""
         parent, real = os.getpid(), simulator._pair_areas
 
         def pair_areas(config, keyed, m):
@@ -332,86 +348,63 @@ class TestForkedPairs:
             return real(config, keyed, m)
 
         monkeypatch.setattr(simulator, "_pair_areas", pair_areas)
-        monkeypatch.setattr(simulator, "FORK_PAIRS", 1)
+        monkeypatch.setattr(simulator, "FORK_PAIRS", pairs)
 
-    @staticmethod
-    def fail(m):
-        raise LookupError(f"pair {m} failed in a worker")
-
-    @pytest.mark.parametrize("gen", GEN_MODELS)
-    def test_reports_equal_serial(self, monkeypatch, cpus, gen):
-        configs = [cfg(scheme=scheme, gen_model=gen, snr_db=snr, frames=3001,
-                       seed=12)
-                   for scheme in SCHEMES for snr in (0.0, 10.0)]
-        serial = self.serial(cpus, configs)
-        self.fork_every_run(monkeypatch)
-        assert run_many(configs) == serial
-        assert self.pins() == [[0], [1]]   # two workers, each on its own CPU
-
-    def test_more_workers_than_cores(self, monkeypatch, cpus):
+    @pytest.mark.parametrize("configs, usable, pairs, pipe_buf, refuse, expected", [
+        (both_schemes((0.0, 10.0), gen_model="GAW", seed=12), 2, 1,
+         select.PIPE_BUF, False, TWO_WORKERS),
+        (both_schemes((0.0, 10.0), gen_model="GAR", seed=12), 2, 1,
+         select.PIPE_BUF, False, TWO_WORKERS),
         # eight workers share one pipe of eight pairs; a pair lost or read
         # misaligned would change a report or raise
-        cpus[:] = range(8)
-        configs = [cfg(scheme=scheme, gen_model="GAR", M=16, frames=3001,
-                       seed=12) for scheme in SCHEMES]
-        serial = self.serial(cpus, configs)
-        self.fork_every_run(monkeypatch)
+        (both_schemes(gen_model="GAR", M=16, seed=12), 8, 1, select.PIPE_BUF,
+         False, [list(range(1, 9)), *["fork"] * 8]),
+        ([cfg(frames=3001)], 2, 1, select.PIPE_BUF, True, TWO_WORKERS),
+        # room for 3 tokens in one atomic write: tokens 1, 4 and 7 name 3, 3
+        # and 2 pairs
+        (both_schemes(gen_model="GAR", M=16, seed=12), 2, 1, 12, False,
+         [[1, 4, 7], "fork", "fork"]),
+        (both_schemes(M=8), 2, simulator.FORK_PAIRS, select.PIPE_BUF, False,
+         TWO_WORKERS),
+        (both_schemes(M=4), 2, simulator.FORK_PAIRS, select.PIPE_BUF, False, []),
+    ], ids=["GAW", "GAR", "8 workers on 8 CPUs", "pinning refused",
+            "PIPE_BUF=12", "shipped FORK_PAIRS, M=8", "shipped FORK_PAIRS, M=4"])
+    def test_reports_equal_serial(self, monkeypatch, cpus, calls, configs, usable,
+                                  pairs, pipe_buf, refuse, expected):
+        # a run that forks writes its whole queue before the first fork,
+        # forks one worker per usable CPU and leaves every pair to them; each
+        # worker asks for its own CPU, and a refusal leaves it where it is
+        cpus[:] = [0]   # one usable CPU: serial
+        serial = run_many(configs)
+        cpus[:] = range(usable)
+        if expected:
+            self.fork_every_run(monkeypatch, pairs=pairs)
+        monkeypatch.setattr(simulator, "select", SimpleNamespace(PIPE_BUF=pipe_buf))
+        self.refuse = refuse
         assert run_many(configs) == serial
-        assert self.pins() == [[cpu] for cpu in range(8)]
+        assert calls == expected
+        assert self.pins() == [[cpu] for cpu in cpus[:calls.count("fork")]]
 
     @pytest.mark.parametrize("pairs, usable, shares", [
         (1, 2, 2), (1, 3, 3), (1, 7, 7), (1, 8, 8), (2, 8, 4), (3, 8, 2),
         (4, 8, 2), (4, 3, 2)])
-    def test_processes_bounded(self, monkeypatch, cpus, pairs, usable, shares):
+    def test_processes_bounded(self, monkeypatch, cpus, calls, pairs, usable,
+                               shares):
         # each worker gets at least FORK_PAIRS = ``pairs`` of the run's 8
         # pairs, and there is at most one per ``usable`` CPU; only a run on
         # every usable CPU pins its workers, one to each
         cpus[:] = range(usable)
-        real_fork, forks = os.fork, []
-
-        def fork():
-            forks.append(1)
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", fork)
-        self.fork_every_run(monkeypatch)
-        monkeypatch.setattr(simulator, "FORK_PAIRS", pairs)
-        run_many([cfg(scheme=scheme, M=16, frames=3001) for scheme in SCHEMES])
-        assert len(forks) == shares
+        self.fork_every_run(monkeypatch, pairs=pairs)
+        run_many(both_schemes(M=16))
+        assert calls.count("fork") == shares
         assert self.pins() == ([[cpu] for cpu in range(usable)]
                                if shares == usable else [])
-
-    @pytest.mark.parametrize("M, workers", [(8, 2), (4, 0)])
-    def test_default_sizing(self, monkeypatch, cpus, M, workers):
-        # FORK_PAIRS as shipped, on 2 usable CPUs: an M = 8 run forks one
-        # pinned worker per CPU, and an M = 4 run stays here
-        configs = [cfg(scheme=scheme, M=M, frames=3001) for scheme in SCHEMES]
-        serial = self.serial(cpus, configs)
-        real_fork, forks = os.fork, []
-
-        def fork():
-            forks.append(1)
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", fork)
-        assert run_many(configs) == serial
-        assert len(forks) == workers
-        assert self.pins() == [[cpu] for cpu in cpus[:workers]]
-
-    def test_pinning_refused(self, monkeypatch, cpus):
-        # a CPU set the OS will not take leaves each worker where it is
-        self.refuse = True
-        configs = [cfg(frames=3001)]
-        serial = self.serial(cpus, configs)
-        self.fork_every_run(monkeypatch)
-        assert run_many(configs) == serial
-        assert self.pins() == [[0], [1]]   # both asked, both were refused
 
     def test_exception_reaches_caller(self, monkeypatch):
         # one pair fails: the other worker's areas are not enough
         def fail_3(m):
             if m == 3:
-                self.fail(m)
+                raise LookupError(f"pair {m} failed in a worker")
 
         self.fork_every_run(monkeypatch, fail_3)
         with pytest.raises(LookupError, match="^pair 3 failed in a worker$"):
@@ -431,56 +424,21 @@ class TestForkedPairs:
             run_many([cfg(frames=3001)])
         assert str(exc.value) == f"run_many worker {died.read_text()} sent no result"
 
-    def test_tokens_span_pairs(self, monkeypatch, cpus):
-        # with room for 3 tokens in one atomic write, the 8 pairs go as
-        # tokens 1, 4 and 7, which name 3, 3 and 2 pairs; the whole queue is
-        # that one write, made before any fork
-        configs = [cfg(scheme=scheme, gen_model="GAR", M=16, frames=3001,
-                       seed=12) for scheme in SCHEMES]
-        serial = self.serial(cpus, configs)
-        self.fork_every_run(monkeypatch)
-        real_fork, real_write, calls = os.fork, os.write, []
-
-        def fork():
-            calls.append("fork")
-            return real_fork()
-
-        def write(fd, data):
-            calls.append(list(np.frombuffer(data, dtype="<u4")))
-            return real_write(fd, data)
-
-        monkeypatch.setattr(simulator, "select", SimpleNamespace(PIPE_BUF=12))
-        monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(os, "write", write)
-        assert run_many(configs) == serial
-        assert calls == [[1, 4, 7], "fork", "fork"]
-
-    def test_failed_fork_reaches_caller(self, monkeypatch):
+    def test_failed_fork_reaches_caller(self, monkeypatch, calls):
         # the second fork fails, as it does at a process limit: the caller
         # gets that error, and the first worker and every pipe are gone
-        real_fork, forks = os.fork, []
-
-        def fork():
-            forks.append(1)
-            if len(forks) == 2:
-                raise BlockingIOError("second fork refused")
-            return real_fork()
-
         self.fork_every_run(monkeypatch)
-        monkeypatch.setattr(os, "fork", fork)
-        fds = self.open_fds()
-        with pytest.raises(BlockingIOError, match="^second fork refused$"):
+        self.forks_allowed = 1
+        with pytest.raises(BlockingIOError, match="^fork refused$"):
             run_many([cfg(frames=3001)])
-        assert len(forks) == 2
-        assert self.open_fds() == fds
+        assert calls == self.TWO_WORKERS
 
     @pytest.mark.parametrize("case", ["thread alive", "one CPU", "M=2",
                                       "one process's pairs"])
-    def test_stays_serial(self, monkeypatch, cpus, case):
+    def test_stays_serial(self, monkeypatch, cpus, calls, case):
         # M = 4's 2 pairs are not two processes' FORK_PAIRS = 2
         if case != "one process's pairs":
             monkeypatch.setattr(simulator, "FORK_PAIRS", 1)
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
         if case == "one CPU":
             cpus[:] = [0]
         c = cfg(M={"M=2": 2, "one process's pairs": 4}.get(case, 8), frames=3001)
@@ -495,6 +453,7 @@ class TestForkedPairs:
             if case == "thread alive":
                 thread.join(timeout=10)
         assert not thread.is_alive()
+        assert calls == []
 
 
 @st.composite
