@@ -93,24 +93,31 @@ def check_R(R: float) -> float:
     return R
 
 
+def _integer(name: str, value):
+    """value itself, if it is an integer (a ``numbers.Integral``)."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return value
+
+
 def check_frames(frames: int) -> int:
     """frames itself, if it is a valid horizon: a whole number of frames,
     at least one per batch."""
-    if not isinstance(frames, numbers.Integral) or frames < N_BATCHES:
+    if _integer("frames", frames) < N_BATCHES:
         raise ValueError(f"need at least {N_BATCHES} frames, got {frames}")
     return frames
 
 
 def check_seed(seed: int) -> int:
     """seed itself, if it is a valid seed: an integer >= 0."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    if _integer("seed", seed) < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return seed
 
 
 def check_trials(trials: int) -> int:
-    """trials itself, if it is a valid Monte Carlo trial count: at least 1."""
-    if trials < 1:
+    """trials itself, if it is a valid Monte Carlo trial count: an integer >= 1."""
+    if _integer("trials", trials) < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     return trials
 

@@ -9,12 +9,13 @@ top-level statement of :func:`run_validation`, so every level runs the same
 17 checks in the same order.  ``LEVELS`` holds all that a level changes.
 ``fast`` is a quick smoke check, its simulation tolerances widened for its
 larger noise; ``full`` runs at the scale the tolerances are calibrated for.
-The probability grid runs on a worker thread beside the other checks; its
-numbers are those of a serial run, bit for bit.  While that thread is alive,
-``run_many`` forks no workers; the short ``fast`` grid can end before the
-last M = 8 simulations, which then fork, with bit-identical results.  The
-renewal cross-check hands :func:`crnoma_aoi.simulator.deliveries` straight
-to :func:`crnoma_aoi.oracle.renewal_aoi`, so ``validate`` writes no file.
+The probability grid runs on a worker thread beside the other checks, on
+its own generator (seed + 10); ``run_many`` forks no workers while it is
+alive.  Every simulation runs at the run's own seed, on the streams that the
+simulator derives from (seed, M): the GAW and GAR sweeps share their M = 8
+gains, and the renewal and CSV checks their M = 4 gains, but no check
+compares the two of either pair.  The renewal check hands its deliveries
+straight to :func:`crnoma_aoi.oracle.renewal_aoi`, so nothing is written.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import analytic, oracle
 from .experiments import ExperimentSpec, run_experiment
 from .model import (GEN_MODELS, SCHEMES, SystemConfig, check_seed, db_to_linear,
                     epsilon_of)
-from .simulator import AoiReport, deliveries, run_many
+from .simulator import deliveries, run_many
 
 LEVELS = {
     "fast": {"frames": 20_000, "trials": 100_000, "sim_tol": 0.06, "gap_tol": 0.15,
@@ -48,12 +49,11 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / abs(b)
 
 
-def _sim(lv: dict, scheme: str, gen_model: str, T: float, P: float,
-         seed: int) -> AoiReport:
-    """One M=8, R=1, P_S=P simulation at the level's horizon."""
+def _sweep(lv: dict, gen_model: str, T: float, seed: int) -> list:
+    """TDMA, then CR-NOMA, each at 0 and 40 dB (M=8, R=1, P_S=P), on common draws."""
     return run_many([SystemConfig(M=8, T=T, R=1.0, P=P, P_S=P, scheme=scheme,
-                                  gen_model=gen_model, frames=lv["frames"],
-                                  seed=seed)])[0]
+                                  gen_model=gen_model, frames=lv["frames"], seed=seed)
+                     for scheme in SCHEMES for P in (1.0, db_to_linear(40.0))])
 
 
 def partition_table(eps: float, P: float, P_S: float, trials: int,
@@ -113,19 +113,18 @@ def run_validation(level: str = "fast", seed: int = 7) -> list[CheckResult]:
 
     # -- GAW closed forms vs simulation at 0 dB ---------------------------
     eps1 = epsilon_of(1.0)
+    s_tdma, s_t40, s_noma, s_n40 = (r.overall_aoi for r in _sweep(lv, "GAW", 1.5, seed))
     a_tdma = analytic.tdma_gaw_aoi(8, 1.5, eps1, 1.0)
-    r_tdma = _sim(lv, "TDMA", "GAW", 1.5, 1.0, seed)
     add("tdma_gaw_closed_form", abs(a_tdma - 28.119) < 5e-3,
         f"analytic={a_tdma:.4f} expected 28.119")
-    add("tdma_gaw_simulation", _rel(r_tdma.overall_aoi, a_tdma) < sim_tol,
-        f"sim={r_tdma.overall_aoi:.3f} analytic={a_tdma:.3f} rtol={sim_tol}")
+    add("tdma_gaw_simulation", _rel(s_tdma, a_tdma) < sim_tol,
+        f"sim={s_tdma:.3f} analytic={a_tdma:.3f} rtol={sim_tol}")
 
     a_noma = analytic.crnoma_gaw_aoi(8, 1.5, eps1, 1.0, 1.0)
-    r_noma = _sim(lv, "CR-NOMA", "GAW", 1.5, 1.0, seed + 1)
     add("crnoma_gaw_closed_form", abs(a_noma - 20.55) < 5e-3,
         f"analytic={a_noma:.4f} expected 20.55")
-    add("crnoma_gaw_simulation", _rel(r_noma.overall_aoi, a_noma) < sim_tol,
-        f"sim={r_noma.overall_aoi:.3f} analytic={a_noma:.3f} rtol={sim_tol}")
+    add("crnoma_gaw_simulation", _rel(s_noma, a_noma) < sim_tol,
+        f"sim={s_noma:.3f} analytic={a_noma:.3f} rtol={sim_tol}")
     add("crnoma_gaw_reduction", (a_tdma - a_noma) / a_tdma > 0.25,
         f"reduction={(a_tdma - a_noma) / a_tdma:.1%} > 25%")
 
@@ -134,8 +133,6 @@ def run_validation(level: str = "fast", seed: int = 7) -> list[CheckResult]:
     limit = analytic.gaw_high_snr_aoi(8, 1.5)
     a_t40 = analytic.tdma_gaw_aoi(8, 1.5, eps1, P40)
     a_n40 = analytic.crnoma_gaw_aoi(8, 1.5, eps1, P40, P40)
-    s_t40 = _sim(lv, "TDMA", "GAW", 1.5, P40, seed + 6).overall_aoi
-    s_n40 = _sim(lv, "CR-NOMA", "GAW", 1.5, P40, seed + 7).overall_aoi
     add("gaw_high_snr", all(
         _rel(n, t) < 0.01 and _rel(t, limit) < 0.01 and _rel(n, limit) < 0.01
         for t, n in ((a_t40, a_n40), (s_t40, s_n40))),
@@ -148,15 +145,12 @@ def run_validation(level: str = "fast", seed: int = 7) -> list[CheckResult]:
     add("gar_closed_forms", abs(a_gar_t5 - 11.373) < 5e-3
         and abs(a_gar_n5 - 8.00) < 5e-3,
         f"tdma_u5={a_gar_t5:.4f} (11.373), noma_u5={a_gar_n5:.4f} (8.00)")
-    r_gar_t = _sim(lv, "TDMA", "GAR", 0.5, 1.0, seed + 2)
-    r_gar_n = _sim(lv, "CR-NOMA", "GAR", 0.5, 1.0, seed + 3)
+    r_gar_t, r40t, r_gar_n, r40n = _sweep(lv, "GAR", 0.5, seed)
     add("gar_simulation_u5", _rel(r_gar_t.per_user_aoi[4], a_gar_t5) < sim_tol
         and _rel(r_gar_n.per_user_aoi[4], a_gar_n5) < sim_tol,
         f"tdma_sim={r_gar_t.per_user_aoi[4]:.3f} noma_sim={r_gar_n.per_user_aoi[4]:.3f}")
 
     # -- GAR high-SNR gap at 40 dB ----------------------------------------
-    r40t = _sim(lv, "TDMA", "GAR", 0.5, P40, seed + 4)
-    r40n = _sim(lv, "CR-NOMA", "GAR", 0.5, P40, seed + 5)
     gap_u5 = r40t.per_user_aoi[4] - r40n.per_user_aoi[4]
     expected_gap = -analytic.gar_high_snr_gap(8, 0.5, eps1)
     fair_t = r40t.per_user_aoi[4] - r40t.per_user_aoi[0]
@@ -183,9 +177,8 @@ def run_validation(level: str = "fast", seed: int = 7) -> list[CheckResult]:
     worst_abs = 0.0
     for scheme in SCHEMES:
         for gen_model in GEN_MODELS:
-            cfg = SystemConfig(M=4, T=0.5, R=1.0, P=1.0, P_S=1.0, scheme=scheme,
-                               gen_model=gen_model, frames=max(lv["frames"] // 10, 2000),
-                               seed=seed + 20)
+            cfg = SystemConfig(M=4, T=0.5, R=1.0, P=1.0, P_S=1.0, scheme=scheme, seed=seed,
+                               gen_model=gen_model, frames=max(lv["frames"] // 10, 2000))
             recomputed = oracle.renewal_aoi(deliveries(cfg), cfg.frames * cfg.frame_duration)
             [report] = run_many([cfg])
             for k in range(cfg.M):

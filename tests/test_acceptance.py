@@ -1,6 +1,6 @@
 """Acceptance suite: every check of ``crnoma-aoi validate --level full``.
 
-The criteria, with their tolerances, seed offsets and grids, are defined once,
+The criteria, with their tolerances, scales and grids, are defined once,
 in :func:`crnoma_aoi.validation.run_validation`.  This module runs it once, at
 full scale, and each case of ``test_criterion``, one per criterion, fails on a
 failed check of that criterion.

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import threading
 from dataclasses import replace
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +18,7 @@ import crnoma_aoi
 from crnoma_aoi import experiments, oracle, simulator, validation
 from crnoma_aoi.cli import main
 from crnoma_aoi.experiments import CSV_HEADER, PRESETS, ExperimentSpec, run_experiment
-from crnoma_aoi.model import SystemConfig, db_to_linear
+from crnoma_aoi.model import GEN_MODELS, SCHEMES, SystemConfig, db_to_linear
 from crnoma_aoi.simulator import AoiReport, run_many
 from crnoma_aoi.validation import run_validation
 
@@ -251,17 +252,28 @@ class TestDegenerateSpecs:
 class TestValidate:
     @pytest.fixture(scope="class")
     def fast_run(self, tmp_path_factory):
-        # one run_validation("fast") shared by the tests below: its checks,
-        # the temp dir it wrote under, and the thread count before and after
+        # one run_validation("fast", 7) shared by the tests below: its
+        # checks, the temp dir it wrote under, the thread count before and
+        # after, and (name, configs) of each simulator call it made
         tmp = tmp_path_factory.mktemp("validate")
+        calls = []
+
+        def recorded(name, func):
+            def call(arg):
+                calls.append((name, list(arg) if name == "run_many" else [arg]))
+                return func(arg)
+            return call
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tempfile, "tempdir", str(tmp))
+            for name in ("run_many", "deliveries"):
+                mp.setattr(validation, name, recorded(name, getattr(validation, name)))
             before = threading.active_count()
-            checks = run_validation("fast")
-            return checks, tmp, before, threading.active_count()
+            checks = run_validation("fast", 7)
+            return checks, tmp, before, threading.active_count(), calls
 
     def test_leaves_no_temp_files(self, fast_run):
-        checks, tmp, _, _ = fast_run
+        checks, tmp, *_ = fast_run
         assert any(c.name == "renewal_cross_check" and c.passed for c in checks)
         assert list(tmp.iterdir()) == []
 
@@ -278,6 +290,19 @@ class TestValidate:
         assert len(top_level) == len(calls) == len(set(names)) == 17
         assert [c.name for c in fast_run[0]] == names
 
+    def test_every_simulation_at_the_run_seed(self, fast_run):
+        # validate derives no seed of its own: the eight M = 8 configs come
+        # as two common-draw sweeps of four (GAW, then GAR), and the renewal
+        # check simulates all four M = 4 scheme/model pairs
+        calls = fast_run[4]
+        assert {c.seed for _, configs in calls for c in configs} == {7}
+        sweeps = [configs for _, configs in calls if configs[0].M == 8]
+        assert [len(configs) for configs in sweeps] == [4, 4]
+        assert len({(c.scheme, c.gen_model, c.P) for c in sum(sweeps, [])}) == 8
+        renewal = sorted((name, c.scheme, c.gen_model) for name, configs in calls
+                         for c in configs if c.M == 4)
+        assert renewal == sorted(product(("deliveries", "run_many"), SCHEMES, GEN_MODELS))
+
     @pytest.mark.parametrize("fail", [False, True])
     def test_grid_worker_joined(self, fail, fast_run, monkeypatch):
         # the probability grid runs on a worker thread: its error reaches the
@@ -286,7 +311,7 @@ class TestValidate:
             raise RuntimeError("grid failed")
 
         if not fail:
-            checks, _, before, after = fast_run
+            checks, _, before, after, _ = fast_run
             assert all(c.passed for c in checks) and after == before
             return
         monkeypatch.setattr(oracle, "estimate_gar_partitions", broken)

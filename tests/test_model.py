@@ -108,15 +108,27 @@ class TestSystemConfig:
                      frames=np.int32(2000), seed=np.uint32(3))
 
     @pytest.mark.parametrize("kw", [
-        dict(M=7), dict(M=0), dict(T=0.0), dict(R=-1.0), dict(P=0.0),
-        dict(P_S=-1.0), dict(scheme="FDMA"), dict(gen_model="GAX"),
-        dict(frames=19), dict(frames=-1), dict(M=8.0), dict(frames=2000.0),
-        dict(seed=1.5),
+        (dict(M=7), "M must be an even integer >= 2, got 7"),
+        (dict(M=0), "M must be an even integer >= 2, got 0"),
+        (dict(T=0.0), "T must be > 0, got 0.0"),
+        (dict(R=-1.0), "R must be >= 0, got -1.0"),
+        (dict(P=0.0), "P and P_S must be > 0"),
+        (dict(P_S=-1.0), "P and P_S must be > 0"),
+        (dict(scheme="FDMA"), "scheme must be one of"),
+        (dict(gen_model="GAX"), "gen_model must be one of"),
+        (dict(frames=19), "need at least 20 frames, got 19"),
+        (dict(frames=-1), "need at least 20 frames, got -1"),
+        (dict(M=8.0), "M must be an even integer >= 2, got 8.0"),
+        (dict(frames=2000.0), "frames must be an integer, got 2000.0"),
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
     ])
     def test_invalid(self, kw):
+        # each row: the fields that break the config, then the start of the
+        # message that names the rule they break
+        fields, message = kw
         base = dict(M=8, T=1.5, R=1.0, P=1.0, P_S=1.0)
-        base.update(kw)
-        with pytest.raises(ValueError):
+        base.update(fields)
+        with pytest.raises(ValueError, match=f"^{message}"):
             SystemConfig(**base)
 
     @given(field=st.sampled_from(["T", "R", "P", "P_S"]),

@@ -120,6 +120,15 @@ class TestTrials:
             estimator(EPS1, 1.0, 1.0, trials, rng)
         assert rng.bit_generator.state == state   # rejected before any draw
 
+    @pytest.mark.parametrize("trials", [1000.5, 1e3])
+    @pytest.mark.parametrize("estimator", [oracle.estimate_gaw_partition,
+                                           oracle.estimate_gar_partitions])
+    def test_non_integer_rejected(self, estimator, trials):
+        # numpy would raise a TypeError of its own at the first draw
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=f"^trials must be an integer, got {trials}$"):
+            estimator(EPS1, 1.0, 1.0, trials, rng)
+
 
 class TestRenewalAoi:
     def test_uniform_log(self):
