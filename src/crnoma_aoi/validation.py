@@ -9,13 +9,13 @@ top-level statement of :func:`run_validation`, so every level runs the same
 17 checks in the same order.  ``LEVELS`` holds all that a level changes.
 ``fast`` is a quick smoke check, its simulation tolerances widened for its
 larger noise; ``full`` runs at the scale the tolerances are calibrated for.
-The probability grid runs on a worker thread beside the other checks, on
-its own generator (seed + 10); ``run_many`` forks no workers while it is
-alive.  Every simulation runs at the run's own seed, on the streams that the
-simulator derives from (seed, M): the GAW and GAR sweeps share their M = 8
-gains, and the renewal and CSV checks their M = 4 gains, but no check
-compares the two of either pair.  The renewal check hands its deliveries
-straight to :func:`crnoma_aoi.oracle.renewal_aoi`, so nothing is written.
+The probability grid runs inline, on its own generator (seed + 10).  Every
+simulation runs at the run's own seed, on the streams that the simulator
+derives from (seed, M): the GAW and GAR sweeps share their M = 8 gains, and
+the renewal and CSV checks their M = 4 gains, but no check compares the two
+of either pair.  The renewal check simulates both schemes of one model in
+one ``run_many`` call and hands the deliveries of each straight to
+:func:`crnoma_aoi.oracle.renewal_aoi`, so nothing is written.
 """
 
 from __future__ import annotations
@@ -99,12 +99,6 @@ def run_validation(level: str = "fast", seed: int = 7) -> list[CheckResult]:
         raise ValueError(f"level must be one of {sorted(LEVELS)}, got {level!r}")
     check_seed(seed)
     lv = LEVELS[level]
-    # numpy releases the GIL while the grid draws and classifies, so it runs
-    # beside the other checks; imported here to keep the CLI's import lean
-    from concurrent.futures import ThreadPoolExecutor
-    pool = ThreadPoolExecutor(max_workers=1)
-    grid = pool.submit(_probability_grid, lv, seed)
-    pool.shutdown(wait=False)   # the worker exits once the grid is done
     sim_tol, gap_tol = lv["sim_tol"], lv["gap_tol"]
     checks: list[CheckResult] = []
 
@@ -165,8 +159,7 @@ def run_validation(level: str = "fast", seed: int = 7) -> list[CheckResult]:
         f"tdma u5-u1 gap={fair_t:.3f} (2.0), noma gap={fair_n:.3f} (1.0)")
 
     # -- probability oracle over an (eps, P=P_S) grid ---------------------
-    pool.shutdown()             # join the worker; result() re-raises its error
-    sum_ok, misses, zero_width, worst = grid.result()
+    sum_ok, misses, zero_width, worst = _probability_grid(lv, seed)
     add("oracle_partition_sums", sum_ok, "all closed-form partitions sum to 1 (1e-12)")
     add("oracle_probabilities", misses == 0,
         f"{lv['n_points']}-point grid, {misses} of {9 * lv['n_points']} "
@@ -175,12 +168,12 @@ def run_validation(level: str = "fast", seed: int = 7) -> list[CheckResult]:
     # -- renewal-reward cross-check on the simulator's deliveries ---------
     renewal_ok = True
     worst_abs = 0.0
-    for scheme in SCHEMES:
-        for gen_model in GEN_MODELS:
-            cfg = SystemConfig(M=4, T=0.5, R=1.0, P=1.0, P_S=1.0, scheme=scheme, seed=seed,
-                               gen_model=gen_model, frames=max(lv["frames"] // 10, 2000))
+    for gen_model in GEN_MODELS:
+        configs = [SystemConfig(M=4, T=0.5, R=1.0, P=1.0, P_S=1.0, scheme=scheme, seed=seed,
+                                gen_model=gen_model, frames=max(lv["frames"] // 10, 2000))
+                   for scheme in SCHEMES]
+        for cfg, report in zip(configs, run_many(configs)):
             recomputed = oracle.renewal_aoi(deliveries(cfg), cfg.frames * cfg.frame_duration)
-            [report] = run_many([cfg])
             for k in range(cfg.M):
                 d = abs(recomputed[k + 1] - report.per_user_aoi[k])
                 worst_abs = max(worst_abs, d)

@@ -4,17 +4,13 @@ import inspect
 import io
 import math
 import os
-import subprocess
-import sys
 import tempfile
-import threading
 from dataclasses import replace
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
-import crnoma_aoi
 from crnoma_aoi import experiments, oracle, simulator, validation
 from crnoma_aoi.cli import main
 from crnoma_aoi.experiments import CSV_HEADER, PRESETS, ExperimentSpec, run_experiment
@@ -253,8 +249,8 @@ class TestValidate:
     @pytest.fixture(scope="class")
     def fast_run(self, tmp_path_factory):
         # one run_validation("fast", 7) shared by the tests below: its
-        # checks, the temp dir it wrote under, the thread count before and
-        # after, and (name, configs) of each simulator call it made
+        # checks, the temp dir it wrote under, and (name, configs) of each
+        # simulator call it made
         tmp = tmp_path_factory.mktemp("validate")
         calls = []
 
@@ -268,9 +264,7 @@ class TestValidate:
             mp.setattr(tempfile, "tempdir", str(tmp))
             for name in ("run_many", "deliveries"):
                 mp.setattr(validation, name, recorded(name, getattr(validation, name)))
-            before = threading.active_count()
-            checks = run_validation("fast", 7)
-            return checks, tmp, before, threading.active_count(), calls
+            return run_validation("fast", 7), tmp, calls
 
     def test_leaves_no_temp_files(self, fast_run):
         checks, tmp, *_ = fast_run
@@ -293,8 +287,9 @@ class TestValidate:
     def test_every_simulation_at_the_run_seed(self, fast_run):
         # validate derives no seed of its own: the eight M = 8 configs come
         # as two common-draw sweeps of four (GAW, then GAR), and the renewal
-        # check simulates all four M = 4 scheme/model pairs
-        calls = fast_run[4]
+        # check simulates all four M = 4 scheme/model pairs, both schemes of
+        # one model on common draws
+        calls = fast_run[2]
         assert {c.seed for _, configs in calls for c in configs} == {7}
         sweeps = [configs for _, configs in calls if configs[0].M == 8]
         assert [len(configs) for configs in sweeps] == [4, 4]
@@ -302,43 +297,42 @@ class TestValidate:
         renewal = sorted((name, c.scheme, c.gen_model) for name, configs in calls
                          for c in configs if c.M == 4)
         assert renewal == sorted(product(("deliveries", "run_many"), SCHEMES, GEN_MODELS))
+        assert [[(c.scheme, c.gen_model) for c in configs] for name, configs in calls
+                if name == "run_many" and configs[0].M == 4] == [
+            [(s, g) for s in SCHEMES] for g in GEN_MODELS]
+
+    def test_renewal_nan_fails(self, monkeypatch):
+        # a NaN difference fails the per-user test, which a worst-case max
+        # alone would let through
+        monkeypatch.setattr(oracle, "renewal_aoi",
+                            lambda by_user, t_end: {u: math.nan for u in by_user})
+        monkeypatch.setattr(validation, "_probability_grid",
+                            lambda lv, seed: (True, 0, 0, 0.0))
+        checks = {c.name: c.passed for c in run_validation("fast", 7)}
+        assert not checks["renewal_cross_check"]
 
     @pytest.mark.parametrize("fail", [False, True])
     def test_grid_worker_joined(self, fail, fast_run, monkeypatch):
-        # the probability grid runs on a worker thread: its error reaches the
-        # caller, and the thread is gone when run_validation returns or raises
+        # all checks pass at fast / seed 7, and a grid error reaches the caller
         def broken(*args):
             raise RuntimeError("grid failed")
 
         if not fail:
-            checks, _, before, after, _ = fast_run
-            assert all(c.passed for c in checks) and after == before
+            assert all(c.passed for c in fast_run[0])
             return
         monkeypatch.setattr(oracle, "estimate_gar_partitions", broken)
-        before = threading.active_count()
         with pytest.raises(RuntimeError, match="grid failed"):
             run_validation("fast")
-        assert threading.active_count() == before
 
     def test_negative_seed_rejected_before_worker(self, monkeypatch):
         started = []
         monkeypatch.setattr(validation, "_probability_grid",
                             lambda *args: started.append(args))
-        before = threading.active_count()
         with pytest.raises(ValueError, match="seed"):
             run_validation("full", -1)
         with pytest.raises(ValueError, match="level"):
             run_validation("bogus")
-        assert started == [] and threading.active_count() == before
-
-    def test_cli_import_loads_no_thread_pool(self):
-        src = os.path.dirname(os.path.dirname(crnoma_aoi.__file__))
-        out = subprocess.run(
-            [sys.executable, "-c", "import crnoma_aoi.cli, sys; "
-             "print('concurrent.futures' in sys.modules)"],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-            text=True, check=True, timeout=60)
-        assert out.stdout == "False\n"
+        assert started == []
 
 
 class TestCliMain:
