@@ -5,7 +5,13 @@ Subcommands:
   validate  -- run the pass/fail validation suite (exit 1 on failure)
   probs     -- Monte Carlo dump of the frame-outcome probabilities vs closed forms
 
-Exit codes: 0 success, 1 validation failure, 2 usage error.
+Exit codes: 0 success, 1 a failed validation check, 2 an error, printed as
+one ``error:`` line.  Exit 2 is not only a usage error: it is a bad flag, a
+``ValueError`` (a bad spec or config-file line), or an ``OSError``, such as
+a config file or ``--out`` that cannot be opened, a fork the OS refuses
+(``BlockingIOError``) or a ``run_many`` worker that ends without a reply
+(``error: run_many worker N sent no result``).  Any command that simulates,
+``validate`` included, can exit 2 the last two ways.
 """
 
 from __future__ import annotations

@@ -54,20 +54,6 @@ class TestRunExperiment:
         base.update(kw)
         return ExperimentSpec(**base)
 
-    def test_header_and_shape(self):
-        csv_text = run_experiment(self.small_spec())
-        lines = csv_text.strip().split("\n")
-        assert lines[0] == CSV_HEADER
-        # 2 schemes x 2 SNRs, GAW -> one overall row each
-        assert len(lines) == 1 + 4
-
-    def test_gar_emits_per_user_rows(self):
-        csv_text = run_experiment(self.small_spec(gen_model="GAR",
-                                                  schemes=("TDMA",),
-                                                  snr_db_values=(0.0,)))
-        lines = csv_text.strip().split("\n")
-        assert len(lines) == 1 + 1 + 4  # header + overall + 4 users
-
     def test_analytic_only(self):
         csv_text = run_experiment(self.small_spec(outputs="analytic"))
         row = csv_text.strip().split("\n")[1].split(",")
@@ -221,6 +207,12 @@ class TestDegenerateSpecs:
         with pytest.raises(ValueError, match="empty"):
             ExperimentSpec(**{axis: ()}).validate()
 
+    def test_unknown_outputs_rejected(self):
+        # the CLI and the config file reject such a value first; a library
+        # caller meets this rule alone
+        with pytest.raises(ValueError, match="outputs must be one of"):
+            ExperimentSpec(outputs="bogus").validate()
+
     @given(users=st.lists(st.integers(1, 8), min_size=1, max_size=6))
     def test_users_accepted_iff_distinct(self, users):
         spec = ExperimentSpec(gen_model="GAR", M_values=(8,), users=tuple(users))
@@ -366,13 +358,6 @@ class TestCliMain:
         assert all(math.isfinite(float(r[col])) for r in rows
                    for col in ("aoi_sim", "sim_ci_halfwidth"))
 
-    def test_run_stdout_deterministic(self, capsys):
-        args = ["run", "--preset", "fig4b", "--analytic-only"]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        assert main(args) == 0
-        assert capsys.readouterr().out == first
-
     def test_config_file_with_cli_override(self, tmp_path, capsys):
         conf = tmp_path / "exp.conf"
         conf.write_text(
@@ -415,7 +400,6 @@ class TestCliMain:
                             ("T_values=0.5,abc", ":1: T_values: could not convert"),
                             ("preset=fig99", ":1: preset: unknown preset"),
                             ("gen_model=XYZ", ":1: gen_model: must be one of"),
-                            ("warmup=100", ":1: warmup: unknown config key"),
                             ("frames=10", ":1: frames: need at least 20 frames"),
                             ("M_values=4,4", ":1: M_values: duplicate values"),
                             ("outputs=bogus", ":1: outputs: must be one of"),
@@ -437,6 +421,16 @@ class TestCliMain:
                 main(["run", "--config", str(conf)])
             assert exc.value.code == 2
             assert error in capsys.readouterr().err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        # an OSError, like a bad value, exits 2 with one error line
+        path = tmp_path / "missing.conf"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{path}'\n"
 
     @pytest.mark.parametrize("lines,flags,error", [
         ("gen_model=GAR\nM_values=8\nusers=0", [],

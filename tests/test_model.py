@@ -30,25 +30,6 @@ class TestDbToLinear:
 
 
 class TestDrawGain:
-    def test_unit_mean(self):
-        rng = np.random.default_rng(123)
-        g = draw_gains(rng, 10 ** 6)
-        assert g.mean() == pytest.approx(1.0, abs=3e-3)
-
-    def test_cdf_at_one(self):
-        rng = np.random.default_rng(7)
-        g = draw_gains(rng, 10 ** 6)
-        assert np.mean(g <= 1.0) == pytest.approx(1.0 - math.exp(-1.0), abs=2e-3)
-
-    def test_nonnegative_scalar(self):
-        rng = np.random.default_rng(0)
-        assert all(draw_gains(rng, None) >= 0.0 for _ in range(100))
-
-    def test_reproducible_stream(self):
-        a = draw_gains(np.random.default_rng(42), 1000)
-        b = draw_gains(np.random.default_rng(42), 1000)
-        assert np.array_equal(a, b)
-
     @pytest.mark.parametrize("seed", [0, 5, 2024])
     def test_stream_is_unit_exponential(self, seed):
         # the simulator's gains are numpy's Exp(1) stream, bit for bit
@@ -72,14 +53,6 @@ class TestSuccessPredicates:
 
     def test_capped_boundary(self):
         assert secondary_capped_success(1.0, 2.0, 1.0, 1.0, 1.0)
-
-    def test_capped_rate(self):
-        # closed form e^{-eps/P_S} / (1 + eps*P/P_S) at eps=P=P_S=1
-        rng = np.random.default_rng(12)
-        g_sec = draw_gains(rng, 10 ** 6)
-        g_pri = draw_gains(rng, 10 ** 6)
-        rate = np.mean(secondary_capped_success(1.0, g_sec, 1.0, g_pri, 1.0))
-        assert rate == pytest.approx(math.exp(-1.0) / 2.0, abs=1.2e-3)
 
     @given(P_S=positive, g_sec=gains, P=positive, g_pri=gains, eps=positive,
            bump=st.floats(min_value=0.0, max_value=10.0))
