@@ -1,6 +1,14 @@
 import os
 
 import pytest
+from hypothesis import settings
+
+# One profile for every property test: derandomized, so each run draws the
+# same examples and a check gives one verdict; no deadline, since forked and
+# chunked runs vary in time; no example database, so no run depends on
+# another's failures.
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(autouse=True)

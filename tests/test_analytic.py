@@ -23,18 +23,72 @@ def valid_partitions():
                      (1 - t[0]) * t[2] / (t[1] + t[2] + 1e-12)))
 
 
+# name -> (function, arguments, value, tolerance): the closed forms at the paper's
+# operating points and limits. Tolerance None asks for ==, a dict for pytest.approx.
+PINNED = {
+    "tdma_gaw_paper_point": (
+        analytic.tdma_gaw_aoi, (8, 1.5, EPS1, 1.0), 1.5 + 6.0 * (2.0 * math.e - 1.0),
+        {"rel": 1e-12}),
+    "tdma_gaw_paper_point_figure": (
+        analytic.tdma_gaw_aoi, (8, 1.5, EPS1, 1.0), 28.119, {"abs": 5e-4}),
+    "tdma_gaw_error_free": (analytic.tdma_gaw_aoi, (8, 1.5, 0.0, 1.0), 7.5, {}),
+    "tdma_gaw_60_db": (analytic.tdma_gaw_aoi, (2, 1.0, 1.0, 1e6), 2.000002, {"rel": 1e-6}),
+    **{f"{f}_error_free": (getattr(analytic, f), (0.0, 1.0, 1.0), (0.0, 1.0, 0.0), None)
+       for f in ("gaw_partition", "gar_partition_user_m", "gar_partition_user_mprime")},
+    "gaw_partition_zero_db": (
+        analytic.gaw_partition, (EPS1, 1.0, 1.0),
+        (0.5158484798611428, 0.36787944117144233, 0.11627207896741482), {"abs": 1e-12}),
+    "delta_kernel_first_slot": (analytic.delta_kernel, (0.0, 1.0, 0.0, 8, 1.5), 6.0, {}),
+    "delta_kernel_zero_db": (
+        analytic.delta_kernel, (0.515846, 0.367879, 0.116275, 8, 1.5), 19.05, {"abs": 5e-3}),
+    "delta_kernel_never_succeeds": (
+        analytic.delta_kernel, (1.0, 0.0, 0.0, 8, 1.5), math.inf, None),
+    "crnoma_gaw_zero_db": (
+        analytic.crnoma_gaw_aoi, (8, 1.5, EPS1, 1.0, 1.0), 20.55, {"abs": 1e-3}),
+    "crnoma_gaw_error_free": (analytic.crnoma_gaw_aoi, (8, 1.5, 0.0, 1.0, 1.0), 7.5, {}),
+    "crnoma_gaw_40_db": (
+        analytic.crnoma_gaw_aoi, (8, 1.5, EPS1, 1e4, 1e4), 7.50, {"abs": 0.01}),
+    "crnoma_gaw_50_db": (
+        analytic.crnoma_gaw_aoi, (8, 1.5, EPS1, 1e5, 1e5), analytic.gaw_high_snr_aoi(8, 1.5),
+        {"rel": 1e-3}),
+    "gaw_high_snr_M8": (analytic.gaw_high_snr_aoi, (8, 1.5), 7.5, None),
+    "gaw_high_snr_M2": (analytic.gaw_high_snr_aoi, (2, 1.0), 2.0, None),
+    "tdma_gar_user5": (
+        analytic.tdma_gar_user_aoi, (5, 8, 0.5, EPS1, 1.0), 11.373, {"abs": 5e-4}),
+    "tdma_gar_error_free": (analytic.tdma_gar_user_aoi, (5, 8, 0.5, 0.0, 1.0), 4.5, {}),
+    "tau_zero_db": (analytic.tau_of, (EPS1, 1.0, 1.0), 0.432332, {"abs": 1e-6}),
+    "gar_partition_user_m_zero_db": (
+        analytic.gar_partition_user_m, (EPS1, 1.0, 1.0),
+        (0.48659356877417326, 0.36787944117144233, 0.14552699005438444), {"abs": 1e-12}),
+    "gar_partition_user_mprime_zero_db": (
+        analytic.gar_partition_user_mprime, (EPS1, 1.0, 1.0),
+        (0.5158484798611428, 0.18393972058572117, 0.300211799553136), {"abs": 1e-12}),
+    "delta_k0_always_first_slot": (
+        analytic.delta_k0, (1, 5, 0.5, analytic.Partition(0.0, 1.0, 0.0)), 0.5, {}),
+    "delta_k0_user_mprime_zero_db": (
+        analytic.delta_k0, (1, 5, 0.5, analytic.gar_partition_user_mprime(EPS1, 1.0, 1.0)),
+        1.626, {"abs": 5e-4}),
+    "crnoma_gar_user2_error_free": (
+        analytic.crnoma_gar_user_aoi, (2, 8, 0.5, 0.0, 1.0, 1.0), 2 * 0.5 + 2.0, {}),
+    "crnoma_gar_user5_40_db": (
+        analytic.crnoma_gar_user_aoi, (5, 8, 0.5, EPS1, 1e4, 1e4), 3.50, {"abs": 0.01}),
+    **{f"crnoma_gar_user{m}_50_db": (
+        analytic.crnoma_gar_user_aoi, (m, 8, 0.5, EPS1, 1e5, 1e5), m * 0.5 + 2.0,
+        {"rel": 1e-3}) for m in (1, 2, 3, 4)},
+    "crnoma_gar_M2_error_free": (
+        analytic.crnoma_gar_overall, (2, 1.0, 0.0, 1.0, 1.0), 2.0, {}),
+    "gar_high_snr_gap_large_eps": (
+        analytic.gar_high_snr_gap, (8, 0.5, 1e9), 0.0, {"abs": 1e-8}),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_pinned(name):
+    func, args, value, tol = PINNED[name]
+    assert func(*args) == (value if tol is None else pytest.approx(value, **tol))
+
+
 class TestTdmaGaw:
-    def test_paper_operating_point(self):
-        assert analytic.tdma_gaw_aoi(8, 1.5, EPS1, 1.0) == pytest.approx(
-            1.5 + 6.0 * (2.0 * math.e - 1.0), rel=1e-12)
-        assert analytic.tdma_gaw_aoi(8, 1.5, EPS1, 1.0) == pytest.approx(28.119, abs=5e-4)
-
-    def test_error_free(self):
-        assert analytic.tdma_gaw_aoi(8, 1.5, 0.0, 1.0) == pytest.approx(7.5)
-
-    def test_high_snr_limit(self):
-        assert analytic.tdma_gaw_aoi(2, 1.0, 1.0, 1e6) == pytest.approx(2.000002, rel=1e-6)
-
     @given(eps=rate_eps, P=snr)
     def test_monotone(self, eps, P):
         a = analytic.tdma_gaw_aoi(8, 1.0, eps, P)
@@ -44,32 +98,12 @@ class TestTdmaGaw:
 
 
 class TestGawPartition:
-    def test_error_free(self):
-        p = analytic.gaw_partition(0.0, 1.0, 1.0)
-        assert p == (0.0, 1.0, 0.0)
-
-    def test_zero_db(self):
-        p = analytic.gaw_partition(EPS1, 1.0, 1.0)
-        assert p.p0 == pytest.approx(0.5158484798611428, abs=1e-12)
-        assert p.p_first == pytest.approx(0.36787944117144233, abs=1e-12)
-        assert p.p_second == pytest.approx(0.11627207896741482, abs=1e-12)
-
     @given(eps=rate_eps, P=snr, P_S=snr)
     def test_sums_to_one(self, eps, P, P_S):
         assert sum(analytic.gaw_partition(eps, P, P_S)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDeltaKernel:
-    def test_perfect_first_slot(self):
-        assert analytic.delta_kernel(0.0, 1.0, 0.0, 8, 1.5) == pytest.approx(6.0)
-
-    def test_zero_db_point(self):
-        v = analytic.delta_kernel(0.515846, 0.367879, 0.116275, 8, 1.5)
-        assert v == pytest.approx(19.05, abs=5e-3)
-
-    def test_never_succeeds_is_divergent(self):
-        assert math.isinf(analytic.delta_kernel(1.0, 0.0, 0.0, 8, 1.5))
-
     @given(p=valid_partitions())
     def test_symmetric_in_y_z(self, p):
         x, y, z = p
@@ -79,19 +113,6 @@ class TestDeltaKernel:
 
 
 class TestCrnomaGaw:
-    def test_zero_db(self):
-        assert analytic.crnoma_gaw_aoi(8, 1.5, EPS1, 1.0, 1.0) == pytest.approx(
-            20.55, abs=1e-3)
-
-    def test_error_free(self):
-        assert analytic.crnoma_gaw_aoi(8, 1.5, 0.0, 1.0, 1.0) == pytest.approx(7.5)
-
-    def test_high_snr(self):
-        assert analytic.crnoma_gaw_aoi(8, 1.5, EPS1, 1e4, 1e4) == pytest.approx(
-            7.50, abs=0.01)
-        assert analytic.crnoma_gaw_aoi(8, 1.5, EPS1, 1e5, 1e5) == pytest.approx(
-            analytic.gaw_high_snr_aoi(8, 1.5), rel=1e-3)
-
     @given(eps=rate_eps, P=snr)
     def test_never_worse_than_tdma(self, eps, P):
         # past eps/P ~ 25 the success probabilities underflow and the
@@ -101,20 +122,7 @@ class TestCrnomaGaw:
                 <= analytic.tdma_gaw_aoi(8, 1.0, eps, P) * (1 + 1e-12))
 
 
-class TestGawHighSnr:
-    def test_values(self):
-        assert analytic.gaw_high_snr_aoi(8, 1.5) == 7.5
-        assert analytic.gaw_high_snr_aoi(2, 1.0) == 2.0
-
-
 class TestTdmaGar:
-    def test_user5(self):
-        assert analytic.tdma_gar_user_aoi(5, 8, 0.5, EPS1, 1.0) == pytest.approx(
-            11.373, abs=5e-4)
-
-    def test_error_free(self):
-        assert analytic.tdma_gar_user_aoi(5, 8, 0.5, 0.0, 1.0) == pytest.approx(4.5)
-
     def test_access_delay_gap_is_snr_independent(self):
         for P in (0.5, 1.0, 100.0):
             gap = (analytic.tdma_gar_user_aoi(5, 8, 0.5, EPS1, P)
@@ -133,25 +141,6 @@ class TestTdmaGar:
 
 
 class TestGarPartitions:
-    def test_tau(self):
-        assert analytic.tau_of(EPS1, 1.0, 1.0) == pytest.approx(0.432332, abs=1e-6)
-
-    def test_user_m_zero_db(self):
-        p = analytic.gar_partition_user_m(EPS1, 1.0, 1.0)
-        assert p.p0 == pytest.approx(0.48659356877417326, abs=1e-12)
-        assert p.p_first == pytest.approx(0.36787944117144233, abs=1e-12)
-        assert p.p_second == pytest.approx(0.14552699005438444, abs=1e-12)
-
-    def test_user_mprime_zero_db(self):
-        p = analytic.gar_partition_user_mprime(EPS1, 1.0, 1.0)
-        assert p.p0 == pytest.approx(0.5158484798611428, abs=1e-12)
-        assert p.p_first == pytest.approx(0.18393972058572117, abs=1e-12)
-        assert p.p_second == pytest.approx(0.300211799553136, abs=1e-12)
-
-    def test_error_free(self):
-        assert analytic.gar_partition_user_m(0.0, 1.0, 1.0) == (0.0, 1.0, 0.0)
-        assert analytic.gar_partition_user_mprime(0.0, 1.0, 1.0) == (0.0, 1.0, 0.0)
-
     @given(eps=rate_eps, P=snr)
     def test_user_m_sums_to_one_when_powers_match(self, eps, P):
         # the published user-m triple only partitions when P = P_S
@@ -165,14 +154,6 @@ class TestGarPartitions:
 
 
 class TestDeltaK0:
-    def test_always_first_slot(self):
-        p = analytic.Partition(0.0, 1.0, 0.0)
-        assert analytic.delta_k0(1, 5, 0.5, p) == pytest.approx(0.5)
-
-    def test_user_mprime_zero_db(self):
-        p = analytic.gar_partition_user_mprime(EPS1, 1.0, 1.0)
-        assert analytic.delta_k0(1, 5, 0.5, p) == pytest.approx(1.626, abs=5e-4)
-
     @pytest.mark.parametrize("partition", ["gar_partition_user_m",
                                            "gar_partition_user_mprime"])
     def test_one_minus_p0_rounded_to_zero_is_divergent(self, partition):
@@ -193,22 +174,6 @@ class TestDeltaK0:
 
 
 class TestCrnomaGar:
-    def test_error_free_user_m(self):
-        assert analytic.crnoma_gar_user_aoi(2, 8, 0.5, 0.0, 1.0, 1.0) == pytest.approx(
-            2 * 0.5 + 2.0)
-
-    def test_user5_high_snr(self):
-        v = analytic.crnoma_gar_user_aoi(5, 8, 0.5, EPS1, 1e4, 1e4)
-        assert v == pytest.approx(3.50, abs=0.01)
-
-    def test_user_m_high_snr(self):
-        for m in (1, 2, 3, 4):
-            v = analytic.crnoma_gar_user_aoi(m, 8, 0.5, EPS1, 1e5, 1e5)
-            assert v == pytest.approx(m * 0.5 + 2.0, rel=1e-3)
-
-    def test_error_free_M2(self):
-        assert analytic.crnoma_gar_overall(2, 1.0, 0.0, 1.0, 1.0) == pytest.approx(2.0)
-
     def test_overall_is_user_mean(self):
         M, T = 8, 0.5
         users = []
@@ -232,9 +197,6 @@ class TestCrnomaGar:
 
 
 class TestGarHighSnrGap:
-    def test_vanishes_for_large_eps(self):
-        assert abs(analytic.gar_high_snr_gap(8, 0.5, 1e9)) < 1e-8
-
     def test_consistent_with_closed_forms(self):
         P = db_to_linear(50.0)
         tdma = analytic.tdma_gar_user_aoi(5, 8, 0.5, EPS1, P)

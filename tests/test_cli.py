@@ -303,20 +303,18 @@ class TestValidate:
         checks = {c.name: c.passed for c in run_validation("fast", 7)}
         assert not checks["renewal_cross_check"]
 
-    @pytest.mark.parametrize("fail", [False, True])
-    def test_grid_worker_joined(self, fail, fast_run, monkeypatch):
-        # all checks pass at fast / seed 7, and a grid error reaches the caller
+    def test_every_check_passes_at_fast_seed_7(self, fast_run):
+        assert all(c.passed for c in fast_run[0])
+
+    def test_grid_error_reaches_caller(self, monkeypatch):
         def broken(*args):
             raise RuntimeError("grid failed")
 
-        if not fail:
-            assert all(c.passed for c in fast_run[0])
-            return
         monkeypatch.setattr(oracle, "estimate_gar_partitions", broken)
         with pytest.raises(RuntimeError, match="grid failed"):
             run_validation("fast")
 
-    def test_negative_seed_rejected_before_worker(self, monkeypatch):
+    def test_bad_seed_or_level_rejected_before_grid(self, monkeypatch):
         started = []
         monkeypatch.setattr(validation, "_probability_grid",
                             lambda *args: started.append(args))

@@ -475,7 +475,7 @@ class TestDifferential:
     that origins and the previous frame's U_m' slot-m' gain cross many chunk
     edges."""
 
-    @settings(max_examples=15, deadline=None, derandomize=True)
+    @settings(max_examples=15)
     @given(shared_draws())
     def test_run_matches_renewal_oracle(self, draws):
         chunk, configs = draws
@@ -488,7 +488,7 @@ class TestDifferential:
                     assert (abs(r.per_user_aoi[k] - expect[k + 1])
                             <= 1e-9 * max(1.0, expect[k + 1]))
 
-    @settings(max_examples=15, deadline=None, derandomize=True)
+    @settings(max_examples=15)
     @given(shared_draws(), st.data())
     def test_run_many_of_a_subset_equals_run(self, draws, data):
         chunk, configs = draws
@@ -571,7 +571,7 @@ def reference_deliveries(c):
 
 
 class TestReferenceModel:
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(protocol_configs())
     def test_deliveries_match_slot_by_slot_reference(self, configs):
         # every delivery time and reset age, exactly; each batch edge also
