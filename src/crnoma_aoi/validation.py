@@ -69,12 +69,11 @@ def partition_table(eps: float, P: float, P_S: float, trials: int,
             ("gar_user_mprime", analytic.gar_partition_user_mprime(eps, P, P_S), est_gp)]
 
 
-def _probability_grid(lv: dict, seed: int) -> tuple[bool, int, int, float]:
-    """Probability oracle over the level's (eps, P=P_S) grid: (partitions sum
-    to 1, estimates whose 3sigma interval misses the closed form, how many
-    of those intervals have width 0, worst |err|/3sigma over the intervals
-    of non-zero width)."""
-    rng = np.random.default_rng(seed + 10)
+def _probability_grid(lv: dict, rng: np.random.Generator) -> tuple[bool, int, int, float]:
+    """Probability oracle over the level's (eps, P=P_S) grid, drawn from
+    ``rng``: (partitions sum to 1, estimates whose 3sigma interval misses the
+    closed form, how many of those intervals have width 0, worst
+    |err|/3sigma over the intervals of non-zero width)."""
     n_points = lv["n_points"]
     rs = np.linspace(0.25, 2.0, n_points)
     snrs = np.resize([-5.0, 0.0, 5.0, 10.0, 15.0], n_points)
@@ -98,6 +97,8 @@ def run_validation(level: str = "fast", seed: int = 7) -> list[CheckResult]:
     if level not in LEVELS:
         raise ValueError(f"level must be one of {sorted(LEVELS)}, got {level!r}")
     check_seed(seed)
+    # made before the sweeps fork, so that no worker imports numpy.random
+    grid_rng = np.random.default_rng(seed + 10)
     lv = LEVELS[level]
     sim_tol, gap_tol = lv["sim_tol"], lv["gap_tol"]
     checks: list[CheckResult] = []
@@ -159,7 +160,7 @@ def run_validation(level: str = "fast", seed: int = 7) -> list[CheckResult]:
         f"tdma u5-u1 gap={fair_t:.3f} (2.0), noma gap={fair_n:.3f} (1.0)")
 
     # -- probability oracle over an (eps, P=P_S) grid ---------------------
-    sum_ok, misses, zero_width, worst = _probability_grid(lv, seed)
+    sum_ok, misses, zero_width, worst = _probability_grid(lv, grid_rng)
     add("oracle_partition_sums", sum_ok, "all closed-form partitions sum to 1 (1e-12)")
     add("oracle_probabilities", misses == 0,
         f"{lv['n_points']}-point grid, {misses} of {9 * lv['n_points']} "

@@ -28,6 +28,13 @@ class TestDbToLinear:
         assert db_to_linear(10.0) == pytest.approx(10.0)
         assert db_to_linear(3.0) == pytest.approx(10.0 ** 0.3)
 
+    # 4000 dB overflows to inf, and -4000 dB underflows to 0
+    @pytest.mark.parametrize("x_db", [math.nan, math.inf, -math.inf, 4000.0, -4000.0])
+    def test_rejected(self, x_db):
+        with pytest.raises(ValueError, match=f"^{x_db} dB is not a finite positive "
+                                             "linear power ratio$"):
+            db_to_linear(x_db)
+
 
 class TestDrawGain:
     @pytest.mark.parametrize("seed", [0, 5, 2024])
@@ -94,6 +101,7 @@ class TestSystemConfig:
         (dict(M=8.0), "M must be an even integer >= 2, got 8.0"),
         (dict(frames=2000.0), "frames must be an integer, got 2000.0"),
         (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(R=2000.0), r"R=2000.0 gives a SINR threshold 2\^R - 1 outside float range$"),
     ])
     def test_invalid(self, kw):
         # each row: the fields that break the config, then the start of the
