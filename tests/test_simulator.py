@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from crnoma_aoi import analytic, oracle, simulator
+from crnoma_aoi import oracle, simulator
 from crnoma_aoi.model import (GEN_MODELS, SCHEMES, SystemConfig, db_to_linear,
                               primary_success, secondary_capped_success)
 from crnoma_aoi.simulator import deliveries, run_many
@@ -202,11 +202,10 @@ class TestMetamorphic:
                 == self.run_at("TDMA", gen, P_S=0.1))
 
     @pytest.mark.parametrize("gen", GEN_MODELS)
-    @pytest.mark.parametrize("P", [0.3, 1.0, 10.0])
-    def test_crnoma_without_secondary_power_is_tdma(self, gen, P):
+    def test_crnoma_without_secondary_power_is_tdma(self, gen):
         # no attempt at P_S = 1e-300 can succeed
-        assert (self.run_at("CR-NOMA", gen, P=P, P_S=1e-300)
-                == self.run_at("TDMA", gen, P=P, P_S=1e-300))
+        assert (self.run_at("CR-NOMA", gen, P_S=1e-300)
+                == self.run_at("TDMA", gen, P_S=1e-300))
 
     def test_gaw_error_free_crnoma_is_tdma(self):
         # at R = 0 every primary succeeds, so no second chance is taken
@@ -229,13 +228,15 @@ class TestMetamorphic:
 class TestRunMany:
     @pytest.mark.parametrize("gen", ["GAW", "GAR"])
     def test_equals_run_per_config(self, gen):
-        # both schemes on mixed T, R and SNR; some configs differ only in T,
-        # one repeats, and the last chunk is shorter than the others
-        points = [(0.5, 1.0, 0.0), (1.5, 1.0, 0.0), (1.0, 0.5, 10.0),
-                  (0.5, 1.5, 5.0), (0.5, 1.0, 0.0)]
-        configs = [cfg(scheme=scheme, gen_model=gen, M=6, T=T, R=R, snr_db=snr,
-                       frames=3001, seed=12)
-                   for scheme in ("TDMA", "CR-NOMA") for T, R, snr in points]
+        # both schemes on mixed T, R, SNR and secondary SNR (dB); beside the
+        # first config, one differs only in T, one only in R and one only in
+        # P_S, one repeats it, and the last chunk is shorter than the others
+        points = [(0.5, 1.0, 0.0, 0.0), (1.5, 1.0, 0.0, 0.0), (0.5, 1.5, 0.0, 0.0),
+                  (0.5, 1.0, 0.0, 5.0), (1.0, 0.5, 10.0, 10.0), (0.5, 1.0, 0.0, 0.0)]
+        configs = [replace(cfg(scheme=scheme, gen_model=gen, M=6, T=T, R=R,
+                               snr_db=snr, frames=3001, seed=12),
+                           P_S=db_to_linear(ps))
+                   for scheme in ("TDMA", "CR-NOMA") for T, R, snr, ps in points]
         assert run_many(configs) == [r for c in configs for r in run_many([c])]
 
     @pytest.mark.parametrize("field,value", [
@@ -488,15 +489,6 @@ class TestDifferential:
                     assert (abs(r.per_user_aoi[k] - expect[k + 1])
                             <= 1e-9 * max(1.0, expect[k + 1]))
 
-    @settings(max_examples=15)
-    @given(shared_draws(), st.data())
-    def test_run_many_of_a_subset_equals_run(self, draws, data):
-        chunk, configs = draws
-        subset = data.draw(st.lists(st.sampled_from(configs), min_size=1,
-                                    max_size=len(configs) + 1))
-        with mock.patch.object(simulator, "CHUNK_FRAMES", chunk):
-            assert run_many(subset) == [r for c in subset for r in run_many([c])]
-
 
 @st.composite
 def protocol_configs(draw):
@@ -610,43 +602,6 @@ class TestErrorFreeChannel:
 
 
 class TestAgainstClosedForms:
-    GRID = [(scheme, gen, M, T, R, snr)
-            for scheme in ("TDMA", "CR-NOMA")
-            for gen in ("GAW", "GAR")
-            for (M, T, R, snr) in [(4, 0.5, 1.0, 0.0), (8, 1.5, 0.5, 5.0),
-                                   (8, 0.5, 1.0, 10.0)]]
-
-    @pytest.mark.parametrize("scheme,gen,M,T,R,snr", GRID)
-    def test_overall_within_3_sigma(self, scheme, gen, M, T, R, snr):
-        c = cfg(scheme=scheme, gen_model=gen, M=M, T=T, R=R, snr_db=snr,
-                frames=40_000, seed=11)
-        [r] = run_many([c])
-        expect = analytic.closed_form_aoi(scheme, gen, M, T, c.eps, c.P, c.P)
-        assert abs(r.overall_aoi - expect) < max(r.overall_halfwidth, 0.02 * expect)
-
     def test_report_mean_invariant(self):
         [r] = run_many([cfg(frames=2000)])
         assert r.overall_aoi == pytest.approx(np.mean(r.per_user_aoi), abs=1e-12)
-
-
-class TestEventStatistics:
-    def test_crnoma_gaw_frequencies_match_partition(self):
-        c = cfg(scheme="CR-NOMA", gen_model="GAW", M=4, T=1.0, frames=100_000,
-                seed=9)
-        events = deliveries(c)
-        part = analytic.gaw_partition(c.eps, c.P, c.P_S)
-        M, T = c.M, c.T
-        for m in (1, 2):  # the m-side of each pair
-            times = events[m][0][1:]   # skip the synthetic t=0 record
-            # a delivery at the end of slot k (1..M) of frame f is at
-            # t = (f*M + k)*T, which gives its slot
-            slots = (np.rint(times / T).astype(np.int64) - 1) % M + 1
-            frames_first = np.count_nonzero(slots == m)
-            # second-chance successes for user m happen in slot m' same frame
-            frames_second = np.count_nonzero(slots == m + M // 2)
-            n = c.frames
-            sigma = 3 * math.sqrt(part.p_first * (1 - part.p_first) / n)
-            assert abs(frames_first / n - part.p_first) < sigma
-            sigma2 = 3 * math.sqrt(part.p_second * (1 - part.p_second) / n)
-            assert abs(frames_second / n - part.p_second) < sigma2
-            assert np.all(times > 0)
