@@ -42,8 +42,9 @@ def _require(checks, names):
 
 
 def test_every_check_passes(checks):
+    # each check lies in exactly one criterion, whose test_criterion case
+    # fails on it
     assert sorted(checks) == sorted(n for names in CRITERIA.values() for n in names)
-    _require(checks, checks)
 
 
 @pytest.mark.parametrize("names", CRITERIA.values(), ids=CRITERIA)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from crnoma_aoi import analytic
-from crnoma_aoi.model import db_to_linear, epsilon_of
+from crnoma_aoi.model import db_to_linear
 
 EPS1 = 1.0  # threshold for R = 1
 
@@ -38,6 +38,10 @@ PINNED = {
     "gaw_partition_zero_db": (
         analytic.gaw_partition, (EPS1, 1.0, 1.0),
         (0.5158484798611428, 0.36787944117144233, 0.11627207896741482), {"abs": 1e-12}),
+    # P = 5 dB, P_S = 0 dB: the published eps/P_S placement (module docstring)
+    "gaw_partition_P_5_db_P_S_0_db": (
+        analytic.gaw_partition, (EPS1, db_to_linear(5.0), 1.0),
+        (0.5762511101946521, 0.36787944117144233, 0.05586944863390549), {"abs": 1e-12}),
     "delta_kernel_first_slot": (analytic.delta_kernel, (0.0, 1.0, 0.0, 8, 1.5), 6.0, {}),
     "delta_kernel_zero_db": (
         analytic.delta_kernel, (0.515846, 0.367879, 0.116275, 8, 1.5), 19.05, {"abs": 5e-3}),
@@ -60,6 +64,9 @@ PINNED = {
     "gar_partition_user_m_zero_db": (
         analytic.gar_partition_user_m, (EPS1, 1.0, 1.0),
         (0.48659356877417326, 0.36787944117144233, 0.14552699005438444), {"abs": 1e-12}),
+    "gar_partition_user_m_P_5_db_P_S_0_db": (
+        analytic.gar_partition_user_m, (EPS1, db_to_linear(5.0), 1.0),
+        (0.22906607137811125, 0.36787944117144233, 0.042040514511864135), {"abs": 1e-12}),
     "gar_partition_user_mprime_zero_db": (
         analytic.gar_partition_user_mprime, (EPS1, 1.0, 1.0),
         (0.5158484798611428, 0.18393972058572117, 0.300211799553136), {"abs": 1e-12}),
@@ -68,6 +75,11 @@ PINNED = {
     "delta_k0_user_mprime_zero_db": (
         analytic.delta_k0, (1, 5, 0.5, analytic.gar_partition_user_mprime(EPS1, 1.0, 1.0)),
         1.626, {"abs": 5e-4}),
+    # the prefactor (1 - p0)^2 / (p_first + p_second)^2 = 25/16 is 1 only when
+    # the partition sums to 1
+    "delta_k0_partition_not_summing_to_one": (
+        analytic.delta_k0, (1, 5, 0.5, analytic.Partition(0.5, 0.3, 0.1)), 0.90625,
+        {"rel": 1e-12}),
     "crnoma_gar_user2_error_free": (
         analytic.crnoma_gar_user_aoi, (2, 8, 0.5, 0.0, 1.0, 1.0), 2 * 0.5 + 2.0, {}),
     "crnoma_gar_user5_40_db": (
@@ -123,15 +135,10 @@ class TestCrnomaGaw:
 
 
 class TestTdmaGar:
-    def test_access_delay_gap_is_snr_independent(self):
-        for P in (0.5, 1.0, 100.0):
-            gap = (analytic.tdma_gar_user_aoi(5, 8, 0.5, EPS1, P)
-                   - analytic.tdma_gar_user_aoi(1, 8, 0.5, EPS1, P))
-            assert gap == pytest.approx(2.0, abs=1e-12)
-
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            analytic.tdma_gar_user_aoi(9, 8, 0.5, EPS1, 1.0)
+        for k in (0, 9):
+            with pytest.raises(ValueError):
+                analytic.tdma_gar_user_aoi(k, 8, 0.5, EPS1, 1.0)
 
     def test_overall_is_arithmetic_mean(self):
         M, T, P = 8, 0.5, 1.0
@@ -154,16 +161,6 @@ class TestGarPartitions:
 
 
 class TestDeltaK0:
-    @pytest.mark.parametrize("partition", ["gar_partition_user_m",
-                                           "gar_partition_user_mprime"])
-    def test_one_minus_p0_rounded_to_zero_is_divergent(self, partition):
-        # R = 0.5 at -20 dB: both slots succeed with probability ~1e-18, so
-        # the published p0 rounds to 1 while p_first + p_second stays positive
-        P = db_to_linear(-20.0)
-        p = getattr(analytic, partition)(epsilon_of(0.5), P, P)
-        assert p.p0 == 1.0 and p.p_first + p.p_second > 0.0
-        assert analytic.delta_k0(1, 5, 0.5, p) == math.inf
-
     @given(eps=rate_eps, P=snr)
     def test_prefactor_is_one(self, eps, P):
         p = analytic.gar_partition_user_mprime(eps, P, P)
@@ -174,19 +171,11 @@ class TestDeltaK0:
 
 
 class TestCrnomaGar:
-    def test_overall_is_user_mean(self):
-        M, T = 8, 0.5
-        users = []
-        for m in range(1, M // 2 + 1):
-            users.append(analytic.crnoma_gar_user_aoi(m, M, T, EPS1, 1.0, 1.0))
-            users.append(analytic.crnoma_gar_user_aoi(m + M // 2, M, T, EPS1, 1.0, 1.0))
-        assert analytic.crnoma_gar_overall(M, T, EPS1, 1.0, 1.0) == pytest.approx(
-            sum(users) / M, rel=1e-12)
-
     def test_odd_m_rejected(self):
         # an odd M has no pairs, and M < 2 has no users
         for M in (7, 1, 0, -2):
-            with pytest.raises(ValueError, match=f"M={M}"):
+            with pytest.raises(ValueError,
+                               match=f"^M must be an even integer >= 2, got M={M}$"):
                 analytic.crnoma_gar_overall(M, 0.5, EPS1, 1.0, 1.0)
 
     def test_bad_user_index(self):
@@ -195,17 +184,3 @@ class TestCrnomaGar:
             with pytest.raises(ValueError, match=f"M={M}, k={k}"):
                 analytic.crnoma_gar_user_aoi(k, M, 0.5, EPS1, 1.0, 1.0)
 
-
-class TestGarHighSnrGap:
-    def test_consistent_with_closed_forms(self):
-        P = db_to_linear(50.0)
-        tdma = analytic.tdma_gar_user_aoi(5, 8, 0.5, EPS1, P)
-        noma = analytic.crnoma_gar_user_aoi(5, 8, 0.5, EPS1, P, P)
-        gap = analytic.gar_high_snr_gap(8, 0.5, EPS1)
-        assert tdma + gap == pytest.approx(noma, rel=5e-3)
-
-    def test_fairness_gap_high_snr(self):
-        P = 1e4
-        noma_gap = (analytic.crnoma_gar_user_aoi(5, 8, 0.5, EPS1, P, P)
-                    - analytic.crnoma_gar_user_aoi(1, 8, 0.5, EPS1, P, P))
-        assert noma_gap == pytest.approx(4 * 0.5 * EPS1 / (1 + EPS1), rel=0.01)

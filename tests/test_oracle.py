@@ -147,10 +147,6 @@ class TestRenewalAoi:
 
 
 class TestGeometricMoments:
-    def test_half(self):
-        r1, r2 = oracle.geometric_moment_check(0.5)
-        assert r1 < 1e-12 and r2 < 1e-12
-
     def test_domain(self):
         with pytest.raises(ValueError):
             oracle.geometric_moment_check(1.0)
