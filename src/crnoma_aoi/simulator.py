@@ -31,9 +31,10 @@ classifies at unit stride.
 
 Origins are int32 while every one fits, else int64 (:func:`_origin_dtype`).
 Each (pair, chunk) builds its candidate rows for slots m and m' once, as a
-(2, n) array that every (config, user) masks into one reused work array.  The
-frame-start origins sum to origin_in + sum(o_mp) - last, so a chunk's area
-takes one int64 sum of that array.
+(2, n) array.  A user that delivers in both slots masks it into one reused
+(2, n) work array, whose one int64 sum gives the chunk's area (the frame-start
+origins sum to origin_in + sum(o_mp) - last); a user that delivers in one
+slot only, as under TDMA, masks and sums that slot's row alone.
 
 Pairs are the unit of work.  No state crosses pairs: each has its own
 generator, its own two users and its own origins.  One walk, :func:`_walk`,
@@ -89,15 +90,14 @@ def _pair_outcomes(cfg: SystemConfig, gains: np.ndarray, prev: float):
     slot-m' gain in the frame before the first column (``inf`` before frame
     0); CR-NOMA/GAW reads it to decide U_m''s retry in the first column.
     Returns, for U_m then U_m', ``(at_m, at_mp)``: the delivery masks at
-    slot m and at slot m'.
+    slot m and at slot m', or None at a slot where the user never delivers.
     """
     eps, P, P_S = cfg.eps, cfg.P, cfg.P_S
     g_m_m, g_mp_m, g_m_mp, g_mp_mp = gains
 
     if cfg.scheme == "TDMA":
-        never = np.zeros(gains.shape[1], dtype=bool)
-        return ((primary_success(P, g_m_m, eps), never),
-                (never, primary_success(P, g_mp_mp, eps)))
+        return ((primary_success(P, g_m_m, eps), None),
+                (None, primary_success(P, g_mp_mp, eps)))
     if cfg.gen_model == "GAW":
         # U_m: primary in slot m every frame; on failure, secondary in slot m'
         # of the same frame against U_m' (who is always primary there).
@@ -167,7 +167,8 @@ def _walk(config: SystemConfig, m: int):
 def _pair_areas(config: SystemConfig, keyed: dict, m: int) -> dict:
     """Twice the per-batch areas, in slot^2, of U_m and U_m' under each
     config of ``keyed``: key -> (U_m's row, U_m''s row).  Each key is
-    integrated with its own origins; Python ints cannot overflow."""
+    integrated with its own origins; Python ints cannot overflow.  A user
+    whose masks hold a None is integrated over its other slot's row alone."""
     M, h = config.M, config.M // 2
     dtype = _origin_dtype(config.frames, M)
     areas = {key: ([0] * N_BATCHES, [0] * N_BATCHES) for key in keyed}
@@ -181,23 +182,35 @@ def _pair_areas(config: SystemConfig, keyed: dict, m: int) -> dict:
         for key, cfg in keyed.items():
             origin = origins.setdefault(key, [M - r_m, M - r_mp])
             for u, masks in enumerate(_pair_outcomes(cfg, gains, prev)):
-                # origin after slot m, then after slot m', of every frame;
-                # 0 (no later than any origin) stands for no delivery
-                np.multiply(cand, masks, out=work)
-                o_m, o_mp = work
-                o_m[0] = max(o_m[0], origin[u])
-                np.maximum(o_mp, o_m, out=o_mp)
-                np.maximum.accumulate(o_mp, out=o_mp)
-                np.maximum(o_m[1:], o_mp[:-1], out=o_m[1:])
-                last = int(o_mp[-1])
+                if masks[0] is None or masks[1] is None:
+                    # o, slot r's running maximum from the carry, is the
+                    # origin after slot r; after the other slot it is o of
+                    # the frame (r = 0: slot m) or of the frame before,
+                    # origin[u] at frame 0 (r = 1: slot m'), so the two
+                    # rows would sum to 2 sum(o) + r (origin[u] - last)
+                    r = int(masks[0] is None)
+                    o = np.multiply(cand[r], masks[r], out=work[r])
+                    o[0] = max(o[0], origin[u])
+                    last = int(np.maximum.accumulate(o, out=o)[-1])
+                    total = 2 * int(o.sum(dtype=np.int64)) + r * (origin[u] - last)
+                else:
+                    # origin after slot m, then after slot m', of every
+                    # frame; 0 (no later than any origin): no delivery
+                    np.multiply(cand, masks, out=work)
+                    o_m, o_mp = work
+                    o_m[0] = max(o_m[0], origin[u])
+                    np.maximum(o_mp, o_m, out=o_mp)
+                    np.maximum.accumulate(o_mp, out=o_mp)
+                    np.maximum(o_m[1:], o_mp[:-1], out=o_m[1:])
+                    last = int(o_mp[-1])
+                    total = int(work.sum(dtype=np.int64))
                 # per frame, sum over its segments [a, b] of
                 # (b - a)(a + b - 2 o) = M^2 + 2 (m d0 + h d1 + (h - m) d2)
                 # with d = frame start - origin of the segment; the
                 # frame-start origins sum to origin[u] + sum(o_mp) - last,
                 # so the d1 and d2 terms take one sum over both rows
                 areas[key][u][batch] += n * M * M + 2 * (
-                    M * sum_base - m * (origin[u] - last)
-                    - h * int(work.sum(dtype=np.int64)))
+                    M * sum_base - m * (origin[u] - last) - h * total)
                 origin[u] = last
     return areas
 
@@ -339,7 +352,8 @@ def deliveries(config: SystemConfig) -> dict[int, tuple[np.ndarray, np.ndarray]]
             for u, masks in enumerate(_pair_outcomes(config, gains, prev)):
                 times, user_ages = records.setdefault(
                     m + u * h, ([np.zeros(1)], [np.array([resets[u] * T])]))
-                hit = np.column_stack(masks)
+                hit = np.column_stack([np.zeros(n, dtype=bool) if x is None else x
+                                       for x in masks])
                 if hit.any():
                     times.append(ends[hit])
                     user_ages.append(ages[hit])

@@ -3,6 +3,7 @@ import inspect
 import math
 import os
 import select
+import signal
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -83,7 +84,7 @@ class TestKernel:
         assert run_many([c]) == narrow
 
     def test_memory_bounded(self, monkeypatch):
-        # chunked frames: about 4.3 MiB here (the chunk's gains, drawn and
+        # chunked frames: about 4.27 MiB here (the chunk's gains, drawn and
         # copied into contiguous rows, and its origin arrays), where event
         # arrays for this horizon would take hundreds of MiB; serial (one
         # usable CPU), so that the trace sees every pair
@@ -408,11 +409,31 @@ class TestForkedPairs:
 
     def test_failed_fork_reaches_caller(self, monkeypatch, calls):
         # the second fork fails, as it does at a process limit: the caller
-        # gets that error, and the first worker and every pipe are gone
-        self.fork_every_run(monkeypatch)
+        # gets that error, and the first worker and every pipe are gone.  The
+        # worker blocks in its first pair until it is killed (or until this
+        # test closes the pipe), so a parent that waits for it to end by
+        # itself is stopped after 10 s
+        block_r, block_w = os.pipe()
+
+        def block(m):
+            os.close(block_w)   # this worker's copy, so closing ours ends it
+            os.read(block_r, 1)
+
+        def timeout(signum, frame):
+            raise TimeoutError("the parent waited for a blocked worker")
+
+        self.fork_every_run(monkeypatch, block)
         self.forks_allowed = 1
-        with pytest.raises(BlockingIOError, match="^fork refused$"):
-            run_many([cfg(frames=3001)])
+        alarm = signal.signal(signal.SIGALRM, timeout)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            with pytest.raises(BlockingIOError, match="^fork refused$"):
+                run_many([cfg(frames=3001)])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, alarm)
+            os.close(block_r)
+            os.close(block_w)
         assert calls == self.TWO_WORKERS
 
     @pytest.mark.parametrize("case", ["thread alive", "one CPU", "M=2",
