@@ -25,16 +25,22 @@ delivered``, and the running maximum ignores it.  The areas depend only on
 frame start minus origin, so the shift cancels.  The kernel takes no
 data-dependent branch: near 0 dB a delivery mask is close to random, so
 ``np.where`` on it mispredicts (choosing between two bool arrays, it ran
-about 10x slower than ``(mask & a) | (~mask & b)``).  Each chunk's gains are
-copied once into four contiguous rows, which every (scheme, R, P, P_S) then
-classifies at unit stride.
+about 10x slower than ``(mask & a) | (~mask & b)``).
 
-Origins are int32 while every one fits, else int64 (:func:`_origin_dtype`).
-Each (pair, chunk) builds its candidate rows for slots m and m' once, as a
-(2, n) array.  A user that delivers in both slots masks it into one reused
-(2, n) work array, whose one int64 sum gives the chunk's area (the frame-start
-origins sum to origin_in + sum(o_mp) - last); a user that delivers in one
-slot only, as under TDMA, masks and sums that slot's row alone.
+Each chunk of n frames runs in L lanes, L the largest divisor of n up to
+_LANES: its gains are copied once into a (4, L, n/L) layout (:func:`_lanes`),
+column b holding frames bL .. bL+L-1, which every (scheme, R, P, P_S)
+classifies elementwise at unit stride.  Every user of every config is one
+row of one stacked (2L, rows, n/L) array, its slot-m and slot-m' lanes
+interleaved in time order (a slot where it never delivers, as under TDMA,
+is a lane of 0), so one running maximum gives both of its origins.  That
+maximum is a blocked prefix scan (Blelloch 1990): each block's maximum,
+a short running maximum over the n/L block carries from each row's origin,
+then 2L contiguous maxima, each over every row's blocks at once.  Origins
+are int32 while every one fits, else int64 (:func:`_origin_dtype`), and
+one sum per row, over its lanes first (in int32 while 2 _LANES of them
+fit), gives the chunk's area (the frame-start origins sum to origin_in +
+sum(o_mp) - last).
 
 Pairs are the unit of work.  No state crosses pairs: each has its own
 generator, its own two users and its own origins.  One walk, :func:`_walk`,
@@ -68,6 +74,8 @@ from .model import (N_BATCHES, SystemConfig, draw_gains, primary_success,
                     secondary_capped_success)
 
 CHUNK_FRAMES = 1 << 15
+# lanes of the blocked running maximum at most: 16 measured best, 20-25 level
+_LANES = 16
 # pairs per worker at least: with one, the queue cannot even out a slow CPU
 FORK_PAIRS = 2
 
@@ -85,12 +93,13 @@ class AoiReport:
 def _pair_outcomes(cfg: SystemConfig, gains: np.ndarray, prev: float):
     """Classify consecutive frames for the pair (U_m, U_m').
 
-    ``gains`` has shape (4, frames), one contiguous row per gain: U_m and U_m'
-    in slot m, then U_m and U_m' in slot m' = m + M/2.  ``prev`` is U_m''s
-    slot-m' gain in the frame before the first column (``inf`` before frame
-    0); CR-NOMA/GAW reads it to decide U_m''s retry in the first column.
-    Returns, for U_m then U_m', ``(at_m, at_mp)``: the delivery masks at
-    slot m and at slot m', or None at a slot where the user never delivers.
+    ``gains`` is a :func:`_lanes` layout, shape (4, L, n/L): U_m and U_m' in
+    slot m, then U_m and U_m' in slot m' = m + M/2, with frame bL + l at
+    [:, l, b].  ``prev`` is U_m''s slot-m' gain in the frame before frame 0
+    (``inf`` before the horizon); CR-NOMA/GAW reads it to decide U_m''s
+    retry in frame 0.  Returns, for U_m then U_m', ``(at_m, at_mp)``: the
+    (L, n/L) delivery masks at slot m and at slot m', or None at a slot
+    where the user never delivers.
     """
     eps, P, P_S = cfg.eps, cfg.P, cfg.P_S
     g_m_m, g_mp_m, g_m_mp, g_mp_mp = gains
@@ -104,9 +113,13 @@ def _pair_outcomes(cfg: SystemConfig, gains: np.ndarray, prev: float):
         s1 = primary_success(P, g_m_m, eps)
         s4 = secondary_capped_success(P_S, g_m_mp, P, g_mp_mp, eps)
         # U_m': primary in slot m' every frame; on failure, secondary in
-        # slot m of the NEXT frame with a fresh update.
+        # slot m of the NEXT frame with a fresh update: one lane on, and
+        # lane 0 from the last lane of the block before
         s3 = primary_success(P, g_mp_mp, eps)
-        retry = np.concatenate(([not primary_success(P, prev, eps)], ~s3[:-1]))
+        retry = np.empty_like(s3)
+        np.invert(s3[:-1], out=retry[1:])
+        np.invert(s3[-1, :-1], out=retry[0, 1:])
+        retry[0, 0] = not primary_success(P, prev, eps)
         s2 = secondary_capped_success(P_S, g_mp_m, P, g_m_m, eps)
         return ((s1, ~s1 & s4), (retry & s2, s3))
     # CR-NOMA / GAR: both users generate at frame start; undelivered
@@ -147,8 +160,9 @@ def _walk(config: SystemConfig, m: int):
     and each of its :func:`_chunks` in order.  ``resets`` are the ages in
     slots that a delivery in slot m and in slot m' resets to; at t=0 each
     user's age is the reset age of its own slot.  ``gains`` is the chunk's
-    draw as four contiguous rows, and ``prev`` is as in
-    :func:`_pair_outcomes`.  Each pair has its own generator, child m - 1 of
+    (n, 4) draw in time order, a frame a row, which :func:`_lanes` lays out
+    for :func:`_pair_outcomes`, and ``prev`` is as there.  Each pair has
+    its own generator, child m - 1 of
     ``numpy.random.SeedSequence([config.seed, config.M])``, so results do
     not depend on the order or the process in which pairs are integrated,
     and configs of one seed but different M draw unrelated streams.  No
@@ -159,59 +173,74 @@ def _walk(config: SystemConfig, m: int):
     resets = (1, 1) if config.gen_model == "GAW" else (m, m + h)
     prev = np.inf
     for start, n, batch in _chunks(config):
-        gains = np.ascontiguousarray(draw_gains(rng, (n, 4)).T)
+        gains = draw_gains(rng, (n, 4))
         yield resets, start, n, batch, gains, prev
-        prev = gains[3, -1]
+        prev = gains[-1, 3]
+
+
+def _lanes(gains: np.ndarray, L: int) -> np.ndarray:
+    """A chunk's (n, 4) draw copied into the (4, L, n/L) layout that
+    :func:`_pair_outcomes` reads: frame bL + l at [:, l, b], so each gain's
+    lane l is one contiguous row, and L = 1 keeps time order."""
+    return gains.reshape(-1, L, 4).transpose(2, 1, 0).copy()
 
 
 def _pair_areas(config: SystemConfig, keyed: dict, m: int) -> dict:
     """Twice the per-batch areas, in slot^2, of U_m and U_m' under each
     config of ``keyed``: key -> (U_m's row, U_m''s row).  Each key is
-    integrated with its own origins; Python ints cannot overflow.  A user
-    whose masks hold a None is integrated over its other slot's row alone."""
+    integrated with its own origins; Python ints cannot overflow.  Every
+    user is one row of a stacked (2L, rows, n/L) array, its slot-m and
+    slot-m' lanes interleaved in time order, a slot where it never delivers
+    as a lane of 0, and one blocked running maximum gives every origin of
+    the chunk."""
     M, h = config.M, config.M // 2
     dtype = _origin_dtype(config.frames, M)
+    # a sum over one block's 2L lanes is below 2 _LANES (frames + 1) M
+    lane_sum = _origin_dtype(2 * _LANES * (config.frames + 1), M)
     areas = {key: ([0] * N_BATCHES, [0] * N_BATCHES) for key in keyed}
-    origins: dict = {}   # key -> U_m's and U_m''s origin, in slots
+    rows = [user for pair in areas.values() for user in pair]
+    # the stacked masks and origins of the longest chunk, reused by each
+    size = 2 * len(rows) * min(CHUNK_FRAMES, -(-config.frames // N_BATCHES))
+    hits, work = np.empty(size, bool), np.empty(size, dtype)
+    origin = []   # per row, key i's user u at 2i + u: its origin, in slots
     for (r_m, r_mp), start, n, batch, gains, prev in _walk(config, m):
-        # each frame's candidate origins after slot m and after slot m'
-        cand = ((start + 1 + np.arange(n, dtype=dtype)) * M
-                + np.array([[m - r_m], [m + h - r_mp]], dtype=dtype))
-        work = np.empty_like(cand)
-        sum_base = M * (n * (start + 1) + n * (n - 1) // 2)
-        for key, cfg in keyed.items():
-            origin = origins.setdefault(key, [M - r_m, M - r_mp])
+        origin = origin or [M - r_m, M - r_mp] * len(keyed)
+        L = max(d for d in range(1, _LANES + 1) if n % d == 0)
+        gains = _lanes(gains, L)
+        hit = hits[:2 * len(rows) * n].reshape(L, 2, len(rows), n // L)
+        for i, cfg in enumerate(keyed.values()):
             for u, masks in enumerate(_pair_outcomes(cfg, gains, prev)):
-                if masks[0] is None or masks[1] is None:
-                    # o, slot r's running maximum from the carry, is the
-                    # origin after slot r; after the other slot it is o of
-                    # the frame (r = 0: slot m) or of the frame before,
-                    # origin[u] at frame 0 (r = 1: slot m'), so the two
-                    # rows would sum to 2 sum(o) + r (origin[u] - last)
-                    r = int(masks[0] is None)
-                    o = np.multiply(cand[r], masks[r], out=work[r])
-                    o[0] = max(o[0], origin[u])
-                    last = int(np.maximum.accumulate(o, out=o)[-1])
-                    total = 2 * int(o.sum(dtype=np.int64)) + r * (origin[u] - last)
-                else:
-                    # origin after slot m, then after slot m', of every
-                    # frame; 0 (no later than any origin): no delivery
-                    np.multiply(cand, masks, out=work)
-                    o_m, o_mp = work
-                    o_m[0] = max(o_m[0], origin[u])
-                    np.maximum(o_mp, o_m, out=o_mp)
-                    np.maximum.accumulate(o_mp, out=o_mp)
-                    np.maximum(o_m[1:], o_mp[:-1], out=o_m[1:])
-                    last = int(o_mp[-1])
-                    total = int(work.sum(dtype=np.int64))
-                # per frame, sum over its segments [a, b] of
-                # (b - a)(a + b - 2 o) = M^2 + 2 (m d0 + h d1 + (h - m) d2)
-                # with d = frame start - origin of the segment; the
-                # frame-start origins sum to origin[u] + sum(o_mp) - last,
-                # so the d1 and d2 terms take one sum over both rows
-                areas[key][u][batch] += n * M * M + 2 * (
-                    M * sum_base - m * (origin[u] - last) - h * total)
-                origin[u] = last
+                for s, mask in enumerate(masks):
+                    hit[:, s, 2 * i + u] = False if mask is None else mask
+        # each frame's origin after slot m, then after slot m', if it
+        # delivers there; else 0, no later than any origin
+        frame = (start + 1 + np.arange(L, dtype=dtype)[:, None]
+                 + L * np.arange(n // L, dtype=dtype)) * M
+        cand = frame[:, None, None] + np.array([[[m - r_m]], [[m + h - r_mp]]],
+                                               dtype=dtype)
+        o = np.multiply(cand, hit, out=work[:hit.size].reshape(hit.shape))
+        # their running maximum along time, a block of L frames at a time:
+        # a block's carry is the running maximum of the blocks before it,
+        # from the row's origin, and each lane takes the one before it
+        o = o.reshape(2 * L, len(rows), n // L)
+        carry = np.roll(o.max(axis=0), 1, axis=1)
+        carry[:, 0] = origin
+        np.maximum.accumulate(carry, axis=1, out=carry)
+        np.maximum(o[0], carry, out=o[0])
+        for k in range(1, 2 * L):
+            np.maximum(o[k], o[k - 1], out=o[k])
+        last = o[-1, :, -1].tolist()
+        totals = o.sum(axis=0, dtype=lane_sum).sum(axis=1, dtype=np.int64)
+        sum_base = M * (n * (start + 1) + n * (n - 1) // 2)
+        for row, first, end, total in zip(rows, origin, last, totals.tolist()):
+            # per frame, sum over its segments [a, b] of
+            # (b - a)(a + b - 2 o) = M^2 + 2 (m d0 + h d1 + (h - m) d2)
+            # with d = frame start - origin of the segment; the frame-start
+            # origins sum to first + sum(o_mp) - end, so the d1 and d2
+            # terms take one sum over both slots
+            row[batch] += n * M * M + 2 * (
+                M * sum_base - m * (first - end) - h * total)
+        origin = last
     return areas
 
 
@@ -349,10 +378,11 @@ def deliveries(config: SystemConfig) -> dict[int, tuple[np.ndarray, np.ndarray]]
             # ends of slots m and m' of every frame; row-major order is time order
             ends = ((start + np.arange(n))[:, None] * M + (m, m + h)) * T
             ages = np.broadcast_to(np.multiply(resets, T), ends.shape)
-            for u, masks in enumerate(_pair_outcomes(config, gains, prev)):
+            lanes = _lanes(gains, 1)   # one lane: each gain's row in time order
+            for u, masks in enumerate(_pair_outcomes(config, lanes, prev)):
                 times, user_ages = records.setdefault(
                     m + u * h, ([np.zeros(1)], [np.array([resets[u] * T])]))
-                hit = np.column_stack([np.zeros(n, dtype=bool) if x is None else x
+                hit = np.column_stack([np.zeros(n, dtype=bool) if x is None else x[0]
                                        for x in masks])
                 if hit.any():
                     times.append(ends[hit])

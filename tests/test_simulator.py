@@ -70,6 +70,34 @@ class TestKernel:
         monkeypatch.setattr(simulator, "CHUNK_FRAMES", 7)
         assert run_many([c]) == whole
 
+    @pytest.mark.parametrize("scheme,gen", PAIRS)
+    @pytest.mark.parametrize("n,lanes", [(101, 1), (12, 12), (48, 16)],
+                             ids=["prime", "one block", "three blocks"])
+    def test_lane_cases(self, monkeypatch, scheme, gen, n, lanes):
+        # every chunk is one batch of n frames, run in ``lanes`` lanes of n /
+        # lanes blocks each; at 0 dB a CR-NOMA/GAW retry is pending across
+        # some block edge inside a chunk.  deliveries classifies in one lane,
+        # and the renewal oracle integrates its deliveries independently
+        seen, real = set(), simulator._lanes
+        monkeypatch.setattr(simulator, "_lanes",
+                            lambda gains, L: seen.add(L) or real(gains, L))
+        c = cfg(scheme=scheme, gen_model=gen, M=4, frames=20 * n)
+        [r] = run_many([c])
+        assert seen == {lanes}
+        expect = oracle.renewal_aoi(deliveries(c), c.frames * c.frame_duration)
+        assert r.per_user_aoi == pytest.approx([expect[k] for k in range(1, 5)],
+                                               rel=1e-9)
+
+    def test_lane_sums_widen_past_int32(self, monkeypatch):
+        # one chunk at the end of 2^28 frames: every origin fits int32, but
+        # a sum of 2 * 16 lanes of them does not, and two lanes' sum does
+        c = cfg(scheme="CR-NOMA", M=2, frames=2 ** 28)
+        monkeypatch.setattr(simulator, "_chunks",
+                            lambda config: iter([(config.frames - 48, 48, 19)]))
+        wide = simulator._pair_areas(c, {"key": c}, 1)
+        monkeypatch.setattr(simulator, "_LANES", 1)
+        assert simulator._pair_areas(c, {"key": c}, 1) == wide
+
     def test_origin_dtype_widens_past_int32(self):
         # every origin is below (frames + 1) * M; M = 1 puts that product
         # at 2**31 - 1 exactly, and one frame more is one slot past it
@@ -84,8 +112,8 @@ class TestKernel:
         assert run_many([c]) == narrow
 
     def test_memory_bounded(self, monkeypatch):
-        # chunked frames: about 4.27 MiB here (the chunk's gains, drawn and
-        # copied into contiguous rows, and its origin arrays), where event
+        # chunked frames: about 4.80 MiB here (the chunk's gains, drawn and
+        # copied into lanes, and its stacked masks and origins), where event
         # arrays for this horizon would take hundreds of MiB; serial (one
         # usable CPU), so that the trace sees every pair
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -533,7 +561,7 @@ def reference_deliveries(c):
         mp = m + h
         if start == 0:
             retry = False   # U_m' has no retry pending before frame 0
-        for f, (g_m_m, g_mp_m, g_m_mp, g_mp_mp) in enumerate(gains.T.tolist(), start):
+        for f, (g_m_m, g_mp_m, g_m_mp, g_mp_mp) in enumerate(gains.tolist(), start):
             if c.scheme == "TDMA":
                 if primary_success(P, g_m_m, eps):
                     deliver(m, m)
